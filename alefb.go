@@ -32,12 +32,14 @@ package alefb
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"github.com/netml/alefb/internal/automl"
 	"github.com/netml/alefb/internal/core"
 	"github.com/netml/alefb/internal/data"
 	"github.com/netml/alefb/internal/ml"
+	"github.com/netml/alefb/internal/modelstore"
 	"github.com/netml/alefb/internal/rng"
 )
 
@@ -124,18 +126,44 @@ func NewDataset(schema *Schema) *Dataset { return data.New(schema) }
 // ReadCSV loads a dataset from CSV (feature columns then a label column).
 var ReadCSV = data.ReadCSV
 
-// SaveEnsemble writes a compact JSON description of a trained ensemble:
-// the selected pipelines, their weights and a refit seed. Reconstruction
-// needs the original training data (models are refit deterministically),
-// which keeps the format tiny and version-stable.
-func SaveEnsemble(w io.Writer, ens *Ensemble, refitSeed uint64) error {
-	return ens.Save(w, refitSeed)
+// SaveEnsemble writes a trained ensemble and its training set in the
+// serving layer's snapshot file format: CRC-framed sections holding the
+// fitted members themselves (flat tree arrays, weights, class
+// statistics), so a load predicts bit-identically to ens without
+// refitting.
+func SaveEnsemble(w io.Writer, ens *Ensemble, train *Dataset) error {
+	blob, err := modelstore.Encode(&modelstore.Snapshot{
+		Version:  1,
+		ValScore: ens.ValScore,
+		Ensemble: ens,
+		Train:    train,
+	})
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(blob)
+	return err
 }
 
-// LoadEnsemble reconstructs an ensemble saved with SaveEnsemble by
-// refitting its members on train.
+// LoadEnsemble reads an ensemble saved with SaveEnsemble. The file is
+// validated before use: a torn, corrupt or foreign file is an error, as
+// is an ensemble whose classes or features do not match train's.
 func LoadEnsemble(r io.Reader, train *Dataset) (*Ensemble, error) {
-	return automl.Load(r, train)
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := modelstore.Decode(blob)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := snap.Ensemble.NumClasses, train.Schema.NumClasses(); got != want {
+		return nil, fmt.Errorf("alefb: saved ensemble has %d classes, data has %d", got, want)
+	}
+	if got, want := snap.Train.Schema.NumFeatures(), train.Schema.NumFeatures(); got != want {
+		return nil, fmt.Errorf("alefb: saved ensemble has %d features, data has %d", got, want)
+	}
+	return snap.Ensemble, nil
 }
 
 // Train runs one AutoML search and returns the ensemble. The zero config

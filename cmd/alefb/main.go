@@ -8,6 +8,8 @@
 //	alefb -train data.csv                       # train + explain
 //	alefb -train data.csv -cross 10             # Cross-ALE committee
 //	alefb -train data.csv -suggest 100 -o s.csv # write suggestions
+//	alefb -train data.csv -save model.snap      # train + save the ensemble
+//	alefb -train data.csv -load model.snap      # explain a saved ensemble
 //
 // The CSV format is the one screamgen/firewallgen emit: a header row of
 // feature names plus a final "label" column.
@@ -28,7 +30,7 @@ import (
 )
 
 // version identifies the CLI build; bump alongside workflow changes.
-const version = "alefb 0.7.0"
+const version = "alefb 0.8.0"
 
 func main() {
 	var (
@@ -43,8 +45,8 @@ func main() {
 		candidates = flag.Int("budget", 24, "AutoML pipelines to evaluate")
 		workers    = flag.Int("workers", 0, "worker goroutines for AutoML search and ALE committees (0 = all cores, 1 = serial; results are identical either way)")
 		engine     = flag.String("trainengine", "presort", "tree-family training engine: presort (exact) or hist (histogram-binned split finding, faster on larger datasets)")
-		savePath   = flag.String("save", "", "save the trained ensemble description to this JSON file")
-		loadPath   = flag.String("load", "", "load an ensemble description instead of searching (refits on -train)")
+		savePath   = flag.String("save", "", "save the trained ensemble and -train data to this snapshot file")
+		loadPath   = flag.String("load", "", "load a -save snapshot instead of searching (no refit; must match -train's classes and features)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (pprof) to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (pprof) to this file on exit")
 		showVer    = flag.Bool("version", false, "print the version and exit")
@@ -98,7 +100,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("loaded ensemble from %s (refit on training data)\n", *loadPath)
+		fmt.Printf("loaded ensemble from %s\n", *loadPath)
 		fb, err = alefb.WithinFeedback(best, train, fbCfg)
 		if err != nil {
 			fatal(err)
@@ -133,11 +135,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := alefb.SaveEnsemble(f, best, *seed); err != nil {
+		if err := alefb.SaveEnsemble(f, best, train); err != nil {
+			f.Close()
 			fatal(err)
 		}
-		f.Close()
-		fmt.Printf("saved ensemble description to %s\n", *savePath)
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("saved ensemble to %s\n", *savePath)
 	}
 
 	fmt.Printf("ensemble: %s (validation balanced accuracy %.3f)\n", best.Name(), best.ValScore)

@@ -27,13 +27,12 @@
 // snapshot. Drift is evaluated off the ingest path by a per-model
 // debounced evaluator at deterministic record-sequence gates
 // (-drift-eval-every spaces them); ingest acks return as soon as the
-// rows are durable. -sync-drift-eval restores the legacy inline
-// evaluation.
+// rows are durable.
 //
 // ALE curves and disagreement regions are memoized per published
 // snapshot: repeated /v1/ale and /v1/regions queries are O(1) lookups,
 // invalidated wholesale whenever a retrain, rollback or restart
-// publishes a new snapshot version. -no-interp-cache disables the cache.
+// publishes a new snapshot version.
 //
 // -snapshot-dir makes the models themselves durable: every published
 // ensemble is serialized (CRC-framed, fsynced, atomically renamed) into
@@ -46,7 +45,7 @@
 // -model name=path.csv bootstraps an additional named tenant. Concurrent
 // predict requests of one model are coalesced into micro-batches (bounded
 // by -max-batch-rows and -batch-delay) and answered from one ensemble
-// sweep; -no-coalesce restores the per-request sweep.
+// sweep.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight
 // requests before exiting.
@@ -69,7 +68,7 @@ import (
 )
 
 // version identifies the serving layer build; bump alongside API changes.
-const version = "alefb-serve 0.10.0"
+const version = "alefb-serve 0.11.0"
 
 // modelSpec is one -model name=path.csv mapping.
 type modelSpec struct {
@@ -95,15 +94,12 @@ func main() {
 		maxBatchRows   = flag.Int("max-batch-rows", 0, "row cap of one coalesced predict batch (0 = default)")
 		batchDelay     = flag.Duration("batch-delay", 0, "max wait for a coalesced batch to fill (0 = default)")
 		predictWorkers = flag.Int("predict-workers", 0, "worker goroutines for one coalesced sweep (0 = all cores)")
-		noCoalesce     = flag.Bool("no-coalesce", false, "disable request coalescing; sweep each predict request alone")
 		feedbackDir    = flag.String("feedback-dir", "", "base directory for durable per-model feedback WALs (empty = memory-only)")
 		snapshotDir    = flag.String("snapshot-dir", "", "base directory for durable model snapshots; restarts recover instead of retraining (empty = memory-only)")
 		snapshotRetain = flag.Int("snapshot-retain", 0, "snapshot versions kept per model for rollback (0 = default 4, negative = all)")
 		driftThreshold = flag.Float64("drift-threshold", 0, "Cross-ALE disagreement over the feedback window that triggers a retrain (0 = off)")
 		driftWindow    = flag.Int("drift-window", 0, "most recent feedback rows the drift monitor analyses (0 = default 64)")
 		driftEvalEvery = flag.Int("drift-eval-every", 0, "acknowledged feedback rows between off-path drift evaluations (0 = default 1, every batch)")
-		syncDrift      = flag.Bool("sync-drift-eval", false, "evaluate drift inline on the ingest path (legacy behavior; slower acks)")
-		noInterpCache  = flag.Bool("no-interp-cache", false, "disable the snapshot-keyed ALE/regions cache; recompute every request")
 		showVersion    = flag.Bool("version", false, "print the version and exit")
 	)
 	flag.Func("model", "additional tenant model as name=path.csv (repeatable)", func(v string) error {
@@ -125,28 +121,25 @@ func main() {
 	}
 
 	s := serve.New(serve.Config{
-		AutoML:             automl.Config{MaxCandidates: *budget, Seed: *seed, Workers: *workers},
-		Feedback:           core.Config{Bins: *bins, Workers: *workers},
-		MaxInFlight:        *maxInFlight,
-		MaxQueue:           *maxQueue,
-		RequestTimeout:     *reqTimeout,
-		RetrainTimeout:     *retrainTO,
-		BreakerThreshold:   *brkThreshold,
-		BreakerCooldown:    *brkCooldown,
-		MaxModels:          *maxModels,
-		MaxBatchRows:       *maxBatchRows,
-		MaxBatchDelay:      *batchDelay,
-		PredictWorkers:     *predictWorkers,
-		DisableCoalescing:  *noCoalesce,
-		FeedbackDir:        *feedbackDir,
-		SnapshotDir:        *snapshotDir,
-		SnapshotRetain:     *snapshotRetain,
-		DriftThreshold:     *driftThreshold,
-		DriftWindow:        *driftWindow,
-		DriftEvalEvery:     *driftEvalEvery,
-		SyncDriftEval:      *syncDrift,
-		DisableInterpCache: *noInterpCache,
-		Log:                os.Stderr,
+		AutoML:           automl.Config{MaxCandidates: *budget, Seed: *seed, Workers: *workers},
+		Feedback:         core.Config{Bins: *bins, Workers: *workers},
+		MaxInFlight:      *maxInFlight,
+		MaxQueue:         *maxQueue,
+		RequestTimeout:   *reqTimeout,
+		RetrainTimeout:   *retrainTO,
+		BreakerThreshold: *brkThreshold,
+		BreakerCooldown:  *brkCooldown,
+		MaxModels:        *maxModels,
+		MaxBatchRows:     *maxBatchRows,
+		MaxBatchDelay:    *batchDelay,
+		PredictWorkers:   *predictWorkers,
+		FeedbackDir:      *feedbackDir,
+		SnapshotDir:      *snapshotDir,
+		SnapshotRetain:   *snapshotRetain,
+		DriftThreshold:   *driftThreshold,
+		DriftWindow:      *driftWindow,
+		DriftEvalEvery:   *driftEvalEvery,
+		Log:              os.Stderr,
 	})
 
 	// Recovery-first bootstrap: a durable snapshot on disk makes the

@@ -99,7 +99,7 @@ type Config struct {
 	// or ml.EngineHist for histogram-binned split finding. The engine is
 	// recorded on each spec as the "hist" parameter, so it flows into
 	// specHash — the evaluation cache and the per-candidate rng streams
-	// never conflate engines — and into persisted descriptions.
+	// never conflate engines — and into persisted snapshot specs.
 	TrainEngine ml.TrainEngine
 	// Families restricts the search space to the named model families
 	// (see FamilyNames; e.g. "gbdt", "knn"). This is the paper's
@@ -110,13 +110,6 @@ type Config struct {
 	// inside the subset. Empty means the full zoo; unknown or duplicate
 	// names are rejected by Run.
 	Families []string
-	// DisableEvalCache turns off the deterministic evaluation cache, so
-	// every candidate is fit even when an identical spec was already
-	// evaluated this run. Because evaluation rng is keyed by the spec,
-	// cached and uncached searches return bit-identical ensembles; the
-	// switch exists for benchmarking and for the equivalence tests that
-	// prove that claim.
-	DisableEvalCache bool
 }
 
 func (c Config) withDefaults() Config {
@@ -147,9 +140,8 @@ func (c Config) withDefaults() Config {
 }
 
 // DropCounts tallies candidates and members discarded during one search,
-// by reason. The counts are diagnostics: they do not enter the persisted
-// Description, so a degraded run and its fault-free twin reconstruct the
-// same ensemble.
+// by reason. The counts are diagnostics only: they never feed back into
+// candidate scoring or member selection.
 type DropCounts struct {
 	// Panics counts fits that panicked (recovered and isolated).
 	Panics int
@@ -387,6 +379,13 @@ func Run(train *data.Dataset, cfg Config) (*Ensemble, error) {
 // at all, when fewer than MinCommittee members survive, or when ctx
 // expires.
 func RunCtx(ctx context.Context, train *data.Dataset, cfg Config) (*Ensemble, error) {
+	return run(ctx, train, cfg, newEvalCache())
+}
+
+// run is RunCtx over an explicit evaluation cache. A nil cache fits
+// every candidate, even a spec already evaluated this run: the uncached
+// reference the cache-equivalence tests compare against.
+func run(ctx context.Context, train *data.Dataset, cfg Config, cache *evalCache) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
 	if train.Len() < 10 {
 		return nil, errors.New("automl: need at least 10 training rows")
@@ -405,10 +404,6 @@ func RunCtx(ctx context.Context, train *data.Dataset, cfg Config) (*Ensemble, er
 	// data) — equal specs consume equal randomness — which is what lets
 	// the evaluation cache replay results bit-identically (see cache.go).
 	evalSeed := r.Uint64()
-	var cache *evalCache
-	if !cfg.DisableEvalCache {
-		cache = newEvalCache()
-	}
 	cacheHits := 0
 	k := train.Schema.NumClasses()
 

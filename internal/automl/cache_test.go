@@ -1,6 +1,7 @@
 package automl
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 
 // TestEvalCacheEquivalence is the correctness contract for the
 // evaluation cache: a search with memoization enabled must return an
-// ensemble bit-identical to the same search with DisableEvalCache set,
-// at every worker count. The variants all enable evolution, since the
+// ensemble bit-identical to the same search run with a nil cache, at
+// every worker count. The variants all enable evolution, since the
 // evolutionary phase is what re-proposes duplicate specs and exercises
 // cache hits; the sweep covers both holdout and k-fold scoring.
 func TestEvalCacheEquivalence(t *testing.T) {
@@ -35,8 +36,7 @@ func TestEvalCacheEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg.DisableEvalCache = true
-					uncached, err := Run(train, cfg)
+					uncached, err := run(context.Background(), train, cfg, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

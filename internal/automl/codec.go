@@ -13,6 +13,7 @@ package automl
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/netml/alefb/internal/ml"
@@ -57,21 +58,36 @@ func AppendEnsemble(buf []byte, e *Ensemble) ([]byte, error) {
 // DecodeEnsemble decodes one ensemble from r, the inverse of
 // AppendEnsemble. The decoded ensemble is ready for the zero-alloc
 // predict path with no refit: member models carry their flat arrays.
+// Snapshot files are outside input, so the committee metadata is
+// validated, not trusted: at least one member, every family known, every
+// weight finite and positive. Counts are bounded by the remaining input
+// before anything is allocated.
 func DecodeEnsemble(r *wire.Reader) (*Ensemble, error) {
 	e := &Ensemble{}
 	n := int(r.U32())
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("automl: decode ensemble: %w", err)
 	}
-	if n > 0 {
-		e.Members = make([]Member, n)
+	if n == 0 {
+		return nil, fmt.Errorf("automl: decode ensemble: no members")
 	}
+	if n > r.Remaining() {
+		return nil, fmt.Errorf("automl: decode ensemble: %d members: %w", n, wire.ErrCorrupt)
+	}
+	e.Members = make([]Member, n)
 	for i := range e.Members {
 		m := &e.Members[i]
-		m.Spec.Family = family(r.I64())
+		fam := r.I64()
 		np := int(r.U32())
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("automl: decode member %d: %w", i, err)
+		}
+		if fam < 0 || fam >= int64(numFamilies) {
+			return nil, fmt.Errorf("automl: decode member %d: unknown family %d", i, fam)
+		}
+		m.Spec.Family = family(fam)
+		if np > r.Remaining() {
+			return nil, fmt.Errorf("automl: decode member %d: %d params: %w", i, np, wire.ErrCorrupt)
 		}
 		if np > 0 {
 			m.Spec.Params = make(map[string]float64, np)
@@ -82,6 +98,9 @@ func DecodeEnsemble(r *wire.Reader) (*Ensemble, error) {
 		}
 		m.Weight = r.F64()
 		m.ValScore = r.F64()
+		if !(m.Weight > 0) || math.IsInf(m.Weight, 1) {
+			return nil, fmt.Errorf("automl: decode member %d: weight %v is not finite and positive", i, m.Weight)
+		}
 		model, err := ml.DecodeModel(r)
 		if err != nil {
 			return nil, fmt.Errorf("automl: decode member %d: %w", i, err)

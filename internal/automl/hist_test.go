@@ -1,8 +1,8 @@
 package automl
 
 import (
+	"context"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -20,8 +20,8 @@ func histCfg(seed uint64) Config {
 
 // TestHistEngineSpecsCarryKnob checks that a hist-engine search records
 // the engine on every tree-family member spec — the knob must survive all
-// the way into the returned ensemble so persisted descriptions rebuild
-// with the same engine — and never on non-tree families.
+// the way into the returned ensemble so spec-driven refits (warm starts)
+// rebuild with the same engine — and never on non-tree families.
 func TestHistEngineSpecsCarryKnob(t *testing.T) {
 	train := blobs(240, 3, rng.New(8))
 	cfg := histCfg(4)
@@ -118,8 +118,7 @@ func TestHistEvalCacheEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.DisableEvalCache = true
-				uncached, err := Run(train, cfg)
+				uncached, err := run(context.Background(), train, cfg, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,31 +222,4 @@ func TestHistFaultedCandidateBypassesCache(t *testing.T) {
 			assertEnsemblesIdentical(t, clean, slow, train.X[:5])
 		}
 	})
-}
-
-// TestHistPersistRoundTrip checks that the hist knob survives
-// description round-trips: a rebuilt hist-engine ensemble must predict
-// bit-identically to the original after refitting on the same data.
-func TestHistPersistRoundTrip(t *testing.T) {
-	train := blobs(240, 3, rng.New(33))
-	cfg := histCfg(6)
-	ens, err := Run(train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := Rebuild(ens.Describe(77), train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range rebuilt.Members {
-		if !reflect.DeepEqual(m.Spec.Params, ens.Members[i].Spec.Params) {
-			t.Errorf("member %d params changed in round-trip: %v vs %v", i, m.Spec.Params, ens.Members[i].Spec.Params)
-		}
-		if treeFam := m.Spec.Family; treeFam == famTree || treeFam == famForest ||
-			treeFam == famExtraTrees || treeFam == famGBDT || treeFam == famAdaBoost {
-			if engineOf(m.Spec) != ml.EngineHist {
-				t.Errorf("member %d lost the hist engine in round-trip: %v", i, m.Spec)
-			}
-		}
-	}
 }

@@ -207,10 +207,10 @@ func clampF(v, lo, hi float64) float64 {
 // applyEngine marks a tree-family spec to train with the given engine by
 // setting the "hist" parameter, making the engine part of the spec itself:
 // it enters specHash (so the evaluation cache and the candidate rng
-// streams distinguish engines), the persisted description, and Build. The
-// knob consumes no rng, non-tree families are returned unchanged, and the
-// presort default leaves the spec untouched so existing hashes and
-// persisted descriptions are unaffected.
+// streams distinguish engines), the persisted snapshot spec, and Build.
+// The knob consumes no rng, non-tree families are returned unchanged, and
+// the presort default leaves the spec untouched so existing hashes and
+// persisted specs are unaffected.
 func applyEngine(s Spec, e ml.TrainEngine) Spec {
 	if e != ml.EngineHist {
 		return s

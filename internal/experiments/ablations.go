@@ -228,17 +228,19 @@ func RunAblationPriors(cfg ScreamConfig, progress io.Writer) (*AblationResult, e
 
 	res := &AblationResult{Title: fmt.Sprintf("Ablation AB3: domain priors (train n=%d)", trainN)}
 	for _, v := range variants {
-		// Each repetition's rng is split off serially before the batch
-		// runs, so the per-rep trials (dataset emulation + fit) can run
+		// Each repetition's rng is split off and its training set emulated
+		// serially before the batch runs: every Label call advances the
+		// generator's shared measurement nonce, so only the fits can run
 		// concurrently without changing any result.
 		reps := cfg.Reps * 3
 		rands := make([]*rng.Rand, reps)
+		trains := make([]*data.Dataset, reps)
 		for rep := range rands {
 			rands[rep] = r.Split()
+			trains[rep] = gen.Generate(trainN, rands[rep])
 		}
 		accs, err := parallel.Map(reps, cfg.Workers, func(rep int) (float64, error) {
-			rr := rands[rep]
-			train := gen.Generate(trainN, rr)
+			rr, train := rands[rep], trains[rep]
 			m := v.build()
 			if err := m.Fit(train, rr); err != nil {
 				return 0, err

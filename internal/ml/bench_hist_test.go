@@ -9,10 +9,9 @@ import (
 
 // mlEngine selects the engine the *Hist fit benchmarks run, defaulting to
 // the histogram engine. The committed baseline lines for these benchmarks
-// are generated with -ml.engine=presort on the identical workloads (the
-// same convention as bench-serve's -serve.batch=off|on), so the recorded
-// speedup isolates histogram binning itself — same data, same configs,
-// same rng streams.
+// are generated with -ml.engine=presort on the identical workloads, so
+// the recorded speedup isolates histogram binning itself — same data,
+// same configs, same rng streams.
 var mlEngine = flag.String("ml.engine", "hist", "train engine for the *Hist fit benchmarks (presort or hist)")
 
 func benchEngine(b *testing.B) TrainEngine {

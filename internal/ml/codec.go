@@ -1,11 +1,10 @@
 package ml
 
 // This file is the fitted-state codec of every classifier family: the
-// serialization half of the durable model snapshot store. Unlike
-// automl.Description — which persists a spec + seed and *refits* on load
-// — AppendModel encodes the trained parameters themselves (flat SoA tree
-// arrays, weight matrices, class statistics, retained k-NN rows), so
-// DecodeModel rebuilds a model that predicts without touching the
+// serialization half of the durable model snapshot store. AppendModel
+// encodes the trained parameters themselves (flat SoA tree arrays,
+// weight matrices, class statistics, retained k-NN rows), so DecodeModel
+// rebuilds a model that predicts without refitting or touching the
 // training data again.
 //
 // The contract is bit-identity on the zero-alloc predict path: a decoded
@@ -16,8 +15,8 @@ package ml
 // the parametric families store every fitted field the same way. The
 // pointer node graphs (Tree.root, regTree.root) are deliberately NOT
 // persisted: they exist only as the reference oracle for freshly fitted
-// trees (predictProbaPointer, Depth), and a decoded tree carries a nil
-// root, which those paths tolerate.
+// trees (the pointer-walk oracle in flat_test.go, Depth), and a decoded
+// tree carries a nil root, which those paths tolerate.
 //
 // The encoding has no framing, checksums or versioning of its own —
 // it is a payload format. internal/modelstore wraps it in length+CRC-32

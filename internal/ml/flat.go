@@ -20,8 +20,8 @@ package ml
 // integer indices — no pointer chasing, no per-call allocation — and visit
 // exactly the same nodes in the same order as the pointer traversal with
 // unchanged float comparisons, so every probability is bit-identical to
-// the pointer implementation (which predictProbaPointer retains as the
-// reference for the equivalence tests).
+// the pointer implementation (which flat_test.go keeps as the reference
+// for the equivalence tests).
 
 // flatTree is the SoA-compiled form of a fitted classification tree.
 type flatTree struct {

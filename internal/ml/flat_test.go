@@ -12,8 +12,34 @@ import (
 // The flattened SoA traversal must be a pure layout change: every model
 // that compiles its trees at Fit time has to produce float64-for-float64
 // identical probabilities to the original pointer-graph traversal, which
-// is retained (predictProbaPointer / predictPointer) exactly for these
-// tests.
+// predictProbaPointer / predictPointer below keep as the oracle.
+
+// predictProbaPointer is the original pointer-graph traversal of a
+// classification tree.
+func (t *Tree) predictProbaPointer(x []float64) []float64 {
+	n := t.root
+	for n.proba == nil {
+		if x[n.feature] <= n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return append([]float64(nil), n.proba...)
+}
+
+// predictPointer is the original pointer traversal of a regression tree.
+func (t *regTree) predictPointer(x []float64) float64 {
+	n := t.root
+	for !n.isLeaf {
+		if x[n.feature] <= n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n.value
+}
 
 // forestProbaPointer recomputes Forest.PredictProba through the pointer
 // traversal, mirroring the accumulation order of PredictProbaInto.

@@ -133,20 +133,6 @@ func (t *Tree) PredictProbaBatchInto(X, out [][]float64) {
 	}
 }
 
-// predictProbaPointer is the original pointer-graph traversal, retained as
-// the reference implementation for the flat-vs-pointer equivalence tests.
-func (t *Tree) predictProbaPointer(x []float64) []float64 {
-	n := t.root
-	for n.proba == nil {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return append([]float64(nil), n.proba...)
-}
-
 func (t *Tree) leaf(d *data.Dataset, rows []int32, s *splitScratch) *treeNode {
 	proba := s.newProba(t.nClasses)
 	for _, i := range rows {
@@ -730,21 +716,7 @@ func (t *regTree) bestSplitHist(lo, hi int, s *splitScratch, node []float64) (fe
 }
 
 // predict walks the flattened form (identical nodes, identical order, so
-// identical values to the pointer walk below).
+// identical values to a walk of the pointer graph).
 func (t *regTree) predict(x []float64) float64 {
 	return t.flat.predict(x)
-}
-
-// predictPointer is the original pointer traversal, retained as the
-// reference for the flat-vs-pointer equivalence tests.
-func (t *regTree) predictPointer(x []float64) float64 {
-	n := t.root
-	for !n.isLeaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
 }

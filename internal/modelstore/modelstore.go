@@ -150,7 +150,7 @@ func (s *Store) Save(model string, snap *Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("modelstore: create %s: %w", dir, err)
 	}
-	blob, err := encodeSnapshot(snap)
+	blob, err := Encode(snap)
 	if err != nil {
 		return err
 	}
@@ -240,7 +240,7 @@ func (s *Store) loadLocked(model string, v int64) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: read v%d: %w", v, err)
 	}
-	return decodeSnapshot(blob)
+	return Decode(blob)
 }
 
 // Has reports whether any snapshot file exists for model (decodability
@@ -405,7 +405,10 @@ func fingerprint(train, ensemble []byte) uint64 {
 	return h.Sum64()
 }
 
-func encodeSnapshot(snap *Snapshot) ([]byte, error) {
+// Encode renders snap in the snapshot file format: magic, format
+// version, then the CRC-framed meta, train and ensemble sections. The
+// same snapshot always encodes to the same bytes.
+func Encode(snap *Snapshot) ([]byte, error) {
 	train := appendDataset(nil, snap.Train)
 	ensemble, err := automl.AppendEnsemble(nil, snap.Ensemble)
 	if err != nil {
@@ -441,7 +444,11 @@ func decodeHeader(blob []byte) ([]byte, error) {
 	return blob[len(magic)+4:], nil
 }
 
-func decodeSnapshot(blob []byte) (*Snapshot, error) {
+// Decode parses one snapshot file, the inverse of Encode. A torn,
+// truncated or bit-flipped file fails its length, CRC or fingerprint
+// check and is rejected whole; the decoded ensemble is predict-ready
+// with no refit and must classify into its training set's classes.
+func Decode(blob []byte) (*Snapshot, error) {
 	rest, err := decodeHeader(blob)
 	if err != nil {
 		return nil, err
@@ -485,6 +492,9 @@ func decodeSnapshot(blob []byte) (*Snapshot, error) {
 	snap.Ensemble, err = automl.DecodeEnsemble(er)
 	if err != nil {
 		return nil, err
+	}
+	if k := snap.Train.Schema.NumClasses(); snap.Ensemble.NumClasses != k {
+		return nil, fmt.Errorf("modelstore: ensemble has %d classes, its training set %d", snap.Ensemble.NumClasses, k)
 	}
 	return snap, nil
 }

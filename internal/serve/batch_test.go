@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netml/alefb/internal/automl"
+	"github.com/netml/alefb/internal/data"
 	"github.com/netml/alefb/internal/faultinject"
+	"github.com/netml/alefb/internal/metrics"
 	"github.com/netml/alefb/internal/rng"
 	"github.com/netml/alefb/internal/testutil"
 )
@@ -65,21 +68,37 @@ func predictPayloads(seed uint64, n, rowsPer int) []PredictRequest {
 	return reqs
 }
 
-// referenceResponses replays the payloads sequentially against a
-// DisableCoalescing server — the legacy per-request row-major sweep — and
-// returns the raw response bytes each payload earned.
+// referencePredict is the coalescing oracle: one row-major sweep of ens
+// over rows, encoded through the production writeJSON exactly as
+// /v1/predict answers at the given snapshot version.
+func referencePredict(ens *automl.Ensemble, train *data.Dataset, version int64, rows [][]float64) []byte {
+	proba := make([][]float64, len(rows))
+	for i := range proba {
+		proba[i] = make([]float64, ens.NumClasses)
+	}
+	ens.PredictProbaBatchInto(rows, proba)
+	labels := make([]int, len(rows))
+	for i := range labels {
+		labels[i] = metrics.Argmax(proba[i])
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, PredictResponse{
+		Version: version,
+		Classes: train.Schema.Classes,
+		Labels:  labels,
+		Proba:   proba,
+	})
+	return rec.Body.Bytes()
+}
+
+// referenceResponses returns the bytes each payload earns from the
+// fixture's default model (ensA, version 1) under referencePredict.
 func referenceResponses(t *testing.T, payloads []PredictRequest) [][]byte {
 	t.Helper()
-	s := newTestServer(t, func(c *Config) { c.DisableCoalescing = true })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	train, ensA, _ := fixture(t)
 	out := make([][]byte, len(payloads))
 	for i, p := range payloads {
-		status, body, err := postJSON(ts.URL+"/v1/predict", p)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("reference predict %d: status %d err %v body %s", i, status, err, body)
-		}
-		out[i] = body
+		out[i] = referencePredict(ensA, train, 1, p.Rows)
 	}
 	return out
 }
@@ -115,8 +134,8 @@ func coalescedResponses(t *testing.T, s *Server, base string, gate chan struct{}
 }
 
 // TestCoalescedBitIdentity is the determinism headline: responses from a
-// single coalesced batch are byte-for-byte identical to the legacy
-// per-request sweep, across seeds, batch compositions and sweep worker
+// single coalesced batch are byte-for-byte identical to a row-major
+// per-request sweep (referencePredict), across seeds, batch compositions and sweep worker
 // counts. Any float64 divergence in the member-major scratch engine —
 // reordered additions, a torn scratch row, a chunk boundary that depends
 // on the worker count — shows up here as a byte diff.
@@ -252,18 +271,10 @@ func TestSnapshotSwapMidBatch(t *testing.T) {
 	train, _, ensB := fixture(t)
 	payloads := predictPayloads(21, 4, 3)
 
-	// Reference: ensB as version 2, per-request sweep.
-	refSrv := newTestServer(t, func(c *Config) { c.DisableCoalescing = true })
-	refSrv.Install(ensB, train) // version 2
-	refTS := httptest.NewServer(refSrv.Handler())
-	defer refTS.Close()
+	// Reference: ensB as version 2.
 	ref := make([][]byte, len(payloads))
 	for i, p := range payloads {
-		status, body, err := postJSON(refTS.URL+"/v1/predict", p)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("reference predict %d: status %d err %v", i, status, err)
-		}
-		ref[i] = body
+		ref[i] = referencePredict(ensB, train, 2, p.Rows)
 	}
 
 	gate := make(chan struct{})

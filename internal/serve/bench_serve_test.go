@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"flag"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -16,24 +15,14 @@ import (
 	"github.com/netml/alefb/internal/rng"
 )
 
-// serveBatch selects the predict path under benchmark: "on" (default)
-// runs the coalescing micro-batch scheduler, "off" the legacy
-// per-request sweep. `make bench-serve` runs the same benchmark twice —
-// off into results/bench_serve_baseline.txt, on into
-// results/bench_serve_current.txt — and cmd/benchjson derives the
-// speedup into BENCH_SERVE.json.
-var serveBatch = flag.String("serve.batch", "on", "predict path under benchmark: on=coalescing scheduler, off=per-request sweep")
-
-// serveDrift selects the drift-evaluation path for the ingest benchmark:
-// "async" (default) the off-path debounced evaluator, "sync" the legacy
-// inline evaluation on the request path. serveInterp toggles the
-// snapshot-keyed ALE/regions cache for the interpretation benchmark.
-// `make bench-serve` runs baseline with both legacy paths and current
-// with both new ones, alongside -serve.batch.
-var (
-	serveDrift  = flag.String("serve.drift", "async", "drift evaluation under benchmark: async=off-path debounced, sync=inline legacy")
-	serveInterp = flag.String("serve.interp", "on", "interpretation cache under benchmark: on=snapshot-keyed memo, off=recompute per request")
-)
+// The serving benchmarks below measure the production paths: the
+// coalescing micro-batch scheduler, the off-path debounced drift
+// evaluator and the snapshot-keyed interpretation cache. `make
+// bench-serve` records them into results/bench_serve_current.txt;
+// results/bench_serve_baseline.txt is the frozen sweep of the legacy
+// per-request, inline-drift and uncached paths those mechanisms
+// replaced, and cmd/benchjson derives the speedups into
+// BENCH_SERVE.json.
 
 // benchEnsemble hand-builds a forest committee (rather than running an
 // AutoML search) so the benchmark's compute profile is fixed: four
@@ -42,8 +31,8 @@ var (
 // exceed the cache, so every walk is bound by load latency (the regime
 // real traffic-classification forests live in). The flat SoA engine
 // overlaps four independent row walks per tree in lockstep, but the
-// 3-row requests below are too small to fill a block on their own: the
-// per-request baseline degrades to the serial walk while the coalescing
+// 3-row requests below are too small to fill a block on their own: a
+// per-request sweep degrades to the serial walk while the coalescing
 // scheduler concatenates concurrent requests into full blocks. Fitting
 // this committee is expensive, so it is memoized across benchmark
 // rounds (b.N re-invocations) — it is deterministic either way.
@@ -81,9 +70,8 @@ func benchEnsemble(b *testing.B) (*automl.Ensemble, *data.Dataset) {
 func BenchmarkServePredictLoad64(b *testing.B) {
 	ens, train := benchEnsemble(b)
 	s := New(Config{
-		MaxInFlight:       128,
-		MaxQueue:          256,
-		DisableCoalescing: *serveBatch == "off",
+		MaxInFlight: 128,
+		MaxQueue:    256,
 	})
 	s.Install(ens, train)
 	ts := httptest.NewServer(s.Handler())
@@ -117,8 +105,8 @@ func BenchmarkServePredictLoad64(b *testing.B) {
 // benchInterpEnsemble is a lighter committee for the interpretation
 // benchmark: an uncached committee-ALE sweep over the predict
 // benchmark's 16000-row/1024-tree committee takes tens of seconds —
-// long past any sane request timeout — so the baseline would only
-// measure client timeouts. Four 64-tree depth-10 forests on 4000 rows
+// long past any sane request timeout — so every cache miss would only
+// measure a client timeout. Four 64-tree depth-10 forests on 4000 rows
 // keep the uncached recompute expensive but servable, which is exactly
 // the regime the snapshot-keyed cache targets.
 var (
@@ -154,10 +142,8 @@ func benchInterpEnsemble(b *testing.B) (*automl.Ensemble, *data.Dataset) {
 // labelled batches. One op is one acknowledged ingest. The threshold is
 // set astronomically high so the committee's window disagreement is
 // evaluated (the cost under measurement) but never triggers a retrain —
-// the benchmark isolates monitoring, not retraining. With
-// -serve.drift=sync every ack waits out the evaluation inline (the seed
-// behavior); with async (default) the ack returns after the durable
-// append and evaluations debounce off-path.
+// the benchmark isolates monitoring, not retraining. The ack returns
+// after the durable append and evaluations debounce off-path.
 func BenchmarkFeedbackIngestDrift(b *testing.B) {
 	ens, train := benchEnsemble(b)
 	s := New(Config{
@@ -166,7 +152,6 @@ func BenchmarkFeedbackIngestDrift(b *testing.B) {
 		RequestTimeout: 2 * time.Minute,
 		DriftThreshold: 1e9,
 		DriftWindow:    64,
-		SyncDriftEval:  *serveDrift == "sync",
 		Feedback:       core.Config{Bins: 16},
 	})
 	s.Install(ens, train)
@@ -207,17 +192,14 @@ func BenchmarkFeedbackIngestDrift(b *testing.B) {
 // BenchmarkInterpretLoad32 measures repeated-interpretation throughput:
 // 32 concurrent clients issuing an ALE-heavy ALE+regions mix against one
 // published snapshot — the dashboard-refresh workload. One op is one
-// HTTP request. With -serve.interp=off every request recomputes the
-// committee curves from scratch (the seed behavior); with on (default)
-// requests after the first hit the snapshot-keyed cache.
+// HTTP request. Requests after the first hit the snapshot-keyed cache.
 func BenchmarkInterpretLoad32(b *testing.B) {
 	ens, train := benchInterpEnsemble(b)
 	s := New(Config{
-		MaxInFlight:        128,
-		MaxQueue:           256,
-		RequestTimeout:     2 * time.Minute,
-		DisableInterpCache: *serveInterp == "off",
-		Feedback:           core.Config{Bins: 16},
+		MaxInFlight:    128,
+		MaxQueue:       256,
+		RequestTimeout: 2 * time.Minute,
+		Feedback:       core.Config{Bins: 16},
 	})
 	s.Install(ens, train)
 	ts := httptest.NewServer(s.Handler())

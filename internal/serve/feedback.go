@@ -28,8 +28,7 @@ import (
 
 // DriftStatus is the published result of one sliding-window drift
 // evaluation, surfaced in the status endpoints. Seq is the feedback
-// record sequence the evaluated window ended at (0 for evaluations from
-// the legacy synchronous path, which have no gate sequence).
+// record sequence the evaluated window ended at.
 type DriftStatus struct {
 	Std     float64
 	Feature string
@@ -69,23 +68,19 @@ type FeedbackRequest struct {
 // sequence number after the batch (the rows are fsynced before this
 // response is written). The drift fields report the newest COMPLETED
 // window evaluation: DriftEvalSeq is the record sequence it covered,
-// and DriftPending is true when a newer evaluation is queued or running
-// (with SyncDriftEval the evaluation is inline as in the seed, so the
-// fields always describe this very ingest and DriftPending is never
-// set). RetrainTriggered reports that this ingest's inline evaluation
-// started a background retrain; off-path evaluations trigger retrains
-// themselves, visible through the status endpoint instead.
+// and DriftPending is true when a newer evaluation is queued or running.
+// Evaluations run off the request path and trigger retrains
+// themselves, visible through the status endpoint.
 type FeedbackResponse struct {
-	Version          int64   `json:"version"`
-	Seq              int64   `json:"seq"`
-	StoreRows        int     `json:"store_rows"`
-	Durable          bool    `json:"durable"`
-	DriftStd         float64 `json:"drift_std"`
-	DriftFeature     string  `json:"drift_feature,omitempty"`
-	Drifted          bool    `json:"drifted"`
-	DriftEvalSeq     int64   `json:"drift_eval_seq,omitempty"`
-	DriftPending     bool    `json:"drift_pending,omitempty"`
-	RetrainTriggered bool    `json:"retrain_triggered"`
+	Version      int64   `json:"version"`
+	Seq          int64   `json:"seq"`
+	StoreRows    int     `json:"store_rows"`
+	Durable      bool    `json:"durable"`
+	DriftStd     float64 `json:"drift_std"`
+	DriftFeature string  `json:"drift_feature,omitempty"`
+	Drifted      bool    `json:"drifted"`
+	DriftEvalSeq int64   `json:"drift_eval_seq,omitempty"`
+	DriftPending bool    `json:"drift_pending,omitempty"`
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, m *Model) {
@@ -118,9 +113,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, m *Model
 		writeError(w, http.StatusInternalServerError, "feedback_store_failed", err.Error())
 		return
 	}
-	asyncDrift := s.cfg.DriftThreshold > 0 && !s.cfg.SyncDriftEval
 	var ev *driftEvaluator
-	if asyncDrift {
+	if s.cfg.DriftThreshold > 0 {
 		// Created (and primed from the store) before the append so the
 		// ring never misses this batch.
 		ev = s.driftEvalFor(m, snap, st)
@@ -145,12 +139,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, m *Model
 		StoreRows: st.Len(),
 		Durable:   st.Durable(),
 	}
-	switch {
-	case asyncDrift:
+	if ev != nil {
 		// The durable append is acknowledged now; the window evaluation
 		// happens off-path at the evaluator's next gate, under the
 		// server's retrain context rather than this request's (so a
-		// client disconnect after the durable append no longer cancels
+		// client disconnect after the durable append does not cancel
 		// the drift check the rows earned). The ack echoes the newest
 		// completed evaluation.
 		evalSeq, pending := ev.noteIngest(snap, st, req.Rows, req.Labels, seq)
@@ -161,26 +154,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, m *Model
 		}
 		resp.DriftEvalSeq = evalSeq
 		resp.DriftPending = pending
-	case s.cfg.DriftThreshold > 0:
-		// SyncDriftEval: the seed's inline evaluation, kept as the
-		// determinism oracle and benchmark baseline.
-		rows, labels := st.Window(s.cfg.DriftWindow)
-		rep, err := core.WindowDisagreementCtx(r.Context(), snap.Ensemble.Models(), snap.Train.Schema,
-			rows, labels, s.cfg.DriftThreshold, s.cfg.Feedback)
-		if err != nil {
-			// The rows are durable; a failed drift evaluation must not fail
-			// the ingest. Report it and move on.
-			s.logf("serve: model %q drift evaluation failed: %v", m.name, err)
-		} else {
-			m.drift.Store(&DriftStatus{Std: rep.PeakStd, Feature: rep.Name, Drifted: rep.Drifted, Seq: seq})
-			resp.DriftStd = rep.PeakStd
-			resp.DriftFeature = rep.Name
-			resp.Drifted = rep.Drifted
-			resp.DriftEvalSeq = seq
-			if rep.Drifted {
-				resp.RetrainTriggered = s.maybeDriftRetrain(m, snap, st)
-			}
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -191,14 +164,14 @@ func (s *Server) handleModelStatus(w http.ResponseWriter, _ *http.Request, m *Mo
 }
 
 // maybeDriftRetrain starts a background retrain of m if none is running
-// and the breaker admits one. It reports whether a retrain was started.
-func (s *Server) maybeDriftRetrain(m *Model, snap *Snapshot, st *feedback.Store) bool {
+// and the breaker admits one.
+func (s *Server) maybeDriftRetrain(m *Model, snap *Snapshot, st *feedback.Store) {
 	if !m.retrainBusy.CompareAndSwap(false, true) {
-		return false
+		return
 	}
 	if ok, _ := m.breaker.Allow(); !ok {
 		m.retrainBusy.Store(false)
-		return false
+		return
 	}
 	m.retraining.Store(true)
 	s.retrainWG.Add(1)
@@ -209,7 +182,6 @@ func (s *Server) maybeDriftRetrain(m *Model, snap *Snapshot, st *feedback.Store)
 		defer m.breaker.Cancel()
 		s.runDriftRetrain(m, snap, st)
 	}()
-	return true
 }
 
 // runDriftRetrain executes one drift-triggered retrain: fold the

@@ -149,15 +149,12 @@ func (st *interpState) stats() (hits, misses int64) {
 }
 
 // interpFor returns the interpretation cache to use for a request that
-// loaded snap, or nil when the request must compute uncached: caching is
-// disabled, or the request holds an older snapshot than the cached
-// state (it raced a swap; see the package comment above). When snap is
+// loaded snap, or nil when the request must compute uncached: the
+// request holds an older snapshot than the cached state (it raced a
+// swap; see the package comment above). When snap is
 // newer than the cached state, a fresh state is swapped in — the
 // invalidation point for publishes, rollbacks and recovery.
 func (s *Server) interpFor(m *Model, snap *Snapshot) *interpState {
-	if s.cfg.DisableInterpCache {
-		return nil
-	}
 	for {
 		st := m.interp.Load()
 		if st != nil {

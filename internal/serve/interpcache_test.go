@@ -101,19 +101,6 @@ func TestALECacheBitIdentityAndHits(t *testing.T) {
 	if ms.InterpCacheHits < 2 || ms.InterpCacheMisses == 0 {
 		t.Fatalf("status cache counters = %d/%d, want them surfaced", ms.InterpCacheHits, ms.InterpCacheMisses)
 	}
-
-	// The escape hatch really disables caching.
-	s2 := newTestServer(t, func(c *Config) { c.DisableInterpCache = true })
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	plain := getALE(t, ts2.URL+"/v1/ale", ALERequest{Feature: 0, Class: 1})
-	plain.Version = first.Version // independent installs may differ in version only
-	if !reflect.DeepEqual(first, plain) {
-		t.Fatal("cached and uncached servers disagree on the same snapshot content")
-	}
-	if s2.Model(DefaultModel).interp.Load() != nil {
-		t.Fatal("DisableInterpCache still built an interpState")
-	}
 }
 
 // TestRegionsCachedAndPrimesALE pins cross-endpoint sharing: a regions

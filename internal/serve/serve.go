@@ -53,7 +53,6 @@ import (
 	"github.com/netml/alefb/internal/data"
 	"github.com/netml/alefb/internal/faultinject"
 	"github.com/netml/alefb/internal/interpret"
-	"github.com/netml/alefb/internal/metrics"
 	"github.com/netml/alefb/internal/modelstore"
 	"github.com/netml/alefb/internal/parallel"
 )
@@ -93,11 +92,6 @@ type Config struct {
 	// PredictWorkers sets the worker count of one coalesced sweep
 	// (0 = GOMAXPROCS). Results are bit-identical at any setting.
 	PredictWorkers int
-	// DisableCoalescing routes /v1/predict through the legacy
-	// per-request sweep instead of the micro-batch scheduler. It exists
-	// as the recorded baseline for BENCH_SERVE.json and as an escape
-	// hatch; responses are bit-identical either way.
-	DisableCoalescing bool
 	// MaxModels bounds the named (non-default) models the registry holds
 	// before LRU-evicting the coldest (default 8).
 	MaxModels int
@@ -126,15 +120,6 @@ type Config struct {
 	// evaluate-at-every-batch, matching the seed's per-ingest cadence of
 	// sequence points).
 	DriftEvalEvery int
-	// SyncDriftEval restores the seed behavior of evaluating drift
-	// inline on the ingest request path, under the request context.
-	// It exists as the determinism oracle for the off-path evaluator
-	// and as the benchmark baseline; production keeps it false.
-	SyncDriftEval bool
-	// DisableInterpCache turns off the snapshot-keyed interpretation
-	// cache so every /v1/ale and /v1/regions request recomputes from
-	// scratch (the seed behavior); benchmark baseline and escape hatch.
-	DisableInterpCache bool
 	// FeedbackCompactEvery overrides the stores' WAL-records-per-
 	// checkpoint compaction interval (0 keeps the store default).
 	FeedbackCompactEvery int
@@ -608,8 +593,11 @@ func (s *Server) onDefault(h modelHandler) func(http.ResponseWriter, *http.Reque
 // onNamed resolves {model} from the route against the registry. An
 // unknown (or evicted) name with a durable snapshot on disk is reloaded
 // transparently — eviction sheds memory, not tenants; a name with no
-// snapshot either is the client's 404. Resolution also touches the
-// model's LRU tick, which is what keeps hot tenants alive.
+// snapshot either is the client's 404. So is an unpinned model still
+// installing its first snapshot: it is registered before it serves, and
+// tenant churn must never surface that half-created state. Resolution
+// also touches the model's LRU tick, which is what keeps hot tenants
+// alive.
 func (s *Server) onNamed(h modelHandler) func(http.ResponseWriter, *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("model")
@@ -617,7 +605,7 @@ func (s *Server) onNamed(h modelHandler) func(http.ResponseWriter, *http.Request
 		if m == nil {
 			m = s.reloadFromDisk(r.Context(), name)
 		}
-		if m == nil {
+		if m == nil || (!m.pinned && m.snap.Current() == nil) {
 			writeError(w, http.StatusNotFound, "model_not_found",
 				fmt.Sprintf("no model named %q is loaded", name))
 			return
@@ -715,8 +703,8 @@ type ModelStatus struct {
 	// sequence of the newest completed evaluation, DriftEvals how many
 	// have completed, DriftEvalsCoalesced how many gate crossings were
 	// folded into a newer capture instead of evaluated individually, and
-	// DriftEvalMSTotal the cumulative evaluation wall time (all zero in
-	// SyncDriftEval mode or before the first monitored ingest).
+	// DriftEvalMSTotal the cumulative evaluation wall time (all zero
+	// before the first monitored ingest).
 	DriftEvalSeq        int64 `json:"drift_eval_seq,omitempty"`
 	DriftEvals          int64 `json:"drift_evals,omitempty"`
 	DriftEvalsCoalesced int64 `json:"drift_evals_coalesced,omitempty"`
@@ -958,10 +946,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, m *Model)
 	if !s.validateRows(w, snap, req.Rows) {
 		return
 	}
-	if s.cfg.DisableCoalescing {
-		s.predictDirect(w, snap, req.Rows)
-		return
-	}
 	job := m.batcher.do(req.Rows)
 	defer job.release()
 	if job.err != nil {
@@ -978,29 +962,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, m *Model)
 		Classes: job.classes,
 		Labels:  job.labels,
 		Proba:   job.proba,
-	})
-}
-
-// predictDirect is the legacy per-request sweep: one row-major ensemble
-// pass with per-request allocations. It is kept as the recorded baseline
-// the coalesced scheduler is measured (and proven bit-identical) against.
-func (s *Server) predictDirect(w http.ResponseWriter, snap *Snapshot, rows [][]float64) {
-	k := snap.Ensemble.NumClasses
-	backing := make([]float64, len(rows)*k)
-	proba := make([][]float64, len(rows))
-	for i := range proba {
-		proba[i] = backing[i*k : (i+1)*k : (i+1)*k]
-	}
-	snap.Ensemble.PredictProbaBatchInto(rows, proba)
-	labels := make([]int, len(rows))
-	for i := range labels {
-		labels[i] = metrics.Argmax(proba[i])
-	}
-	writeJSON(w, http.StatusOK, PredictResponse{
-		Version: snap.Version,
-		Classes: snap.Train.Schema.Classes,
-		Labels:  labels,
-		Proba:   proba,
 	})
 }
 

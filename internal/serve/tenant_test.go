@@ -342,6 +342,21 @@ func TestRegistryChurnChaos(t *testing.T) {
 	}
 }
 
+// TestRegistryChurnHalfCreatedModel pins the churn contract's routing
+// half deterministically: a named model that is registered but not yet
+// serving its first snapshot answers 404 model_not_found, not 503.
+func TestRegistryChurnHalfCreatedModel(t *testing.T) {
+	s := newTestServer(t, nil)
+	s.models.getOrCreate("tenant-new", s.newModel)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	status, body, err := postJSON(ts.URL+"/v1/models/tenant-new/predict", PredictRequest{Rows: [][]float64{{0.3, 0.6}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantError(t, status, body, http.StatusNotFound, "model_not_found")
+}
+
 // TestModelsStatsSurfaced: the scheduler's coalescing counters appear in
 // /v1/models after predicts flow.
 func TestModelsStatsSurfaced(t *testing.T) {
