@@ -251,8 +251,9 @@ func TestSlidingWindowMatchesNaive(t *testing.T) {
 }
 
 // TestCurveCacheBitIdenticalAndStats: cached reads return exactly the
-// directly computed curve (same computation, stored), and the hit/miss
-// counters track lookups.
+// directly computed curve (same computation, stored), every class of a
+// (method, feature, bins) key shares one entry, and the hit/miss counters
+// track lookups.
 func TestCurveCacheBitIdenticalAndStats(t *testing.T) {
 	models := disagreeCommittee()
 	d := twoFeatureData(500, rng.New(4))
@@ -277,6 +278,24 @@ func TestCurveCacheBitIdenticalAndStats(t *testing.T) {
 	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("stats hits=%d misses=%d, want 1/1", hits, misses)
 	}
+	// An entry holds every class of the feature's sweep: another class of
+	// the same (method, feature, bins) is a hit, bit-identical to its
+	// direct computation.
+	opt0 := interpret.Options{Bins: 8, Class: 0}
+	direct0, err := interpret.CommitteeCtx(context.Background(), models, d, 0, interpret.MethodALE, opt0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := cache.Committee(context.Background(), 0, interpret.MethodALE, opt0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct0, other) {
+		t.Fatal("cached class 0 curve differs from direct computation")
+	}
+	if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("other-class stats hits=%d misses=%d, want 2/1", hits, misses)
+	}
 	// Bins 0 normalizes to the default 32: two spellings, one entry.
 	if _, err := cache.Committee(context.Background(), 1, interpret.MethodALE, interpret.Options{Bins: 0, Class: 1}); err != nil {
 		t.Fatal(err)
@@ -284,8 +303,16 @@ func TestCurveCacheBitIdenticalAndStats(t *testing.T) {
 	if _, err := cache.Committee(context.Background(), 1, interpret.MethodALE, interpret.Options{Bins: 32, Class: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cache.Stats(); hits != 2 || misses != 2 {
-		t.Fatalf("normalized stats hits=%d misses=%d, want 2/2", hits, misses)
+	if hits, misses := cache.Stats(); hits != 3 || misses != 2 {
+		t.Fatalf("normalized stats hits=%d misses=%d, want 3/2", hits, misses)
+	}
+	if _, err := cache.Committee(context.Background(), 1, interpret.MethodALE, interpret.Options{Class: 2}); err == nil {
+		t.Fatal("class outside the schema accepted")
+	}
+	// The entry bound counts curves: a 2-class cache holds half as many
+	// entries as there are curve slots.
+	if cache.maxEntries != maxCachedCurves/2 {
+		t.Fatalf("maxEntries = %d, want %d", cache.maxEntries, maxCachedCurves/2)
 	}
 	// Deterministic errors are cached too: a constant feature misses once
 	// then hits.
@@ -326,13 +353,13 @@ func TestCurveCacheCancelNotCached(t *testing.T) {
 	}
 }
 
-// TestCurveCacheSingleFlight: concurrent lookups of one key run the
-// computation once; everyone gets the identical stored value.
+// TestCurveCacheSingleFlight: concurrent lookups of one key — any class
+// of one (method, feature, bins) — run the computation once; everyone
+// asking for a class gets the identical stored value.
 func TestCurveCacheSingleFlight(t *testing.T) {
 	models := disagreeCommittee()
 	d := twoFeatureData(2000, rng.New(4))
 	cache := NewCurveCache(models, d)
-	opt := interpret.Options{Bins: 16, Class: 1}
 
 	const goroutines = 16
 	results := make([]interpret.CommitteeCurve, goroutines)
@@ -341,7 +368,7 @@ func TestCurveCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cc, err := cache.Committee(context.Background(), 0, interpret.MethodALE, opt)
+			cc, err := cache.Committee(context.Background(), 0, interpret.MethodALE, interpret.Options{Bins: 16, Class: g % 2})
 			if err != nil {
 				t.Error(err)
 				return
@@ -350,11 +377,11 @@ func TestCurveCacheSingleFlight(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, misses := cache.Stats(); misses != 1 {
-		t.Fatalf("misses = %d, want 1 (single flight)", misses)
+	if hits, misses := cache.Stats(); misses != 1 || hits != goroutines-1 {
+		t.Fatalf("hits=%d misses=%d, want %d/1 (single flight)", hits, misses, goroutines-1)
 	}
-	for g := 1; g < goroutines; g++ {
-		if !reflect.DeepEqual(results[0], results[g]) {
+	for g := 2; g < goroutines; g++ {
+		if !reflect.DeepEqual(results[g%2], results[g]) {
 			t.Fatalf("goroutine %d saw a different curve", g)
 		}
 	}

@@ -230,46 +230,48 @@ func WarmStartCtx(ctx context.Context, ens *automl.Ensemble, oldTrain, newTrain 
 // nothing — the quantile grid, and hence constancy, is a property of the
 // dataset alone, so the skip is identical for every member.
 //
-// The computation is committee-shaped: for each (feature, class) pair
-// the shared-grid committee curves on both datasets are computed once,
+// The computation is committee-shaped and class-fused: for each feature
+// the shared-grid committee curves of every class of fc.Classes are
+// computed by one sweep on each dataset (interpret.CommitteeClassesCtx),
 // fanning members out via internal/parallel with fc.Workers, instead of
 // the seed's per-member serial loop that re-derived the same quantile
-// grid len(models) times. Per-member curves are read back from
-// CommitteeCurve.PerModel at the member's index, the same aleOnGrid
-// output the serial loop produced, so shifts are bit-identical to the
-// seed implementation for every worker count. When oldCurves matches
-// (committee and old dataset by identity), old-side curves come from the
-// cache — in the serving layer these are the exact curves /v1/ale
-// already computed for the snapshot.
+// grid len(models) times per class. Per-member curves are read back from
+// CommitteeCurve.PerModel at the member's index — per class the same
+// values a one-class ALE of that member produces — so shifts are
+// bit-identical to the seed implementation for every worker count. When
+// oldCurves matches (committee and old dataset by identity), old-side
+// curves come from the cache — in the serving layer these are the exact
+// curves /v1/ale and /v1/regions already computed for the snapshot.
 func memberShifts(ctx context.Context, models []ml.Classifier, oldTrain, newTrain *data.Dataset, fc Config, oldCurves *CurveCache) ([]float64, error) {
 	shifts := make([]float64, len(models))
 	useCache := oldCurves != nil && oldCurves.Dataset() == oldTrain && sameModels(oldCurves.Models(), models)
+	opt := interpret.Options{Bins: fc.Bins, Workers: fc.Workers}
 	for _, j := range fc.Features {
-		for _, class := range fc.Classes {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			opt := interpret.Options{Bins: fc.Bins, Class: class, Workers: fc.Workers}
-			var oldCC interpret.CommitteeCurve
-			var err error
-			if useCache {
-				oldCC, err = oldCurves.Committee(ctx, j, interpret.MethodALE, opt)
-			} else {
-				oldCC, err = interpret.CommitteeCtx(ctx, models, oldTrain, j, interpret.MethodALE, opt)
-			}
-			if errors.Is(err, interpret.ErrConstantFeature) {
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: shift feature %d class %d (old): %w", j, class, err)
-			}
-			newCC, err := interpret.CommitteeCtx(ctx, models, newTrain, j, interpret.MethodALE, opt)
-			if errors.Is(err, interpret.ErrConstantFeature) {
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: shift feature %d class %d (new): %w", j, class, err)
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var oldCCs []interpret.CommitteeCurve
+		var err error
+		if useCache {
+			oldCCs, err = oldCurves.CommitteeClasses(ctx, j, interpret.MethodALE, opt, fc.Classes)
+		} else {
+			oldCCs, err = interpret.CommitteeClassesCtx(ctx, models, oldTrain, j, interpret.MethodALE, opt, fc.Classes)
+		}
+		if errors.Is(err, interpret.ErrConstantFeature) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: shift feature %d (old): %w", j, err)
+		}
+		newCCs, err := interpret.CommitteeClassesCtx(ctx, models, newTrain, j, interpret.MethodALE, opt, fc.Classes)
+		if errors.Is(err, interpret.ErrConstantFeature) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: shift feature %d (new): %w", j, err)
+		}
+		for c, oldCC := range oldCCs {
+			newCC := newCCs[c]
 			for m := range models {
 				var sum float64
 				for i, x := range oldCC.Grid {

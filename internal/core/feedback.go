@@ -77,9 +77,10 @@ type Config struct {
 	Workers int
 	// Curves optionally memoizes committee curves across computations.
 	// ComputeCtx consults it only when the cache was built for exactly
-	// the dataset being analysed (pointer identity) and ignores it
-	// otherwise, so a stale cache can slow a computation down but never
-	// change its result: the cache stores exact CommitteeCtx outputs.
+	// the committee and dataset being analysed (pointer identity of the
+	// dataset and of every member) and ignores it otherwise, so a stale
+	// cache can slow a computation down but never change its result: the
+	// cache stores exact committee-sweep outputs.
 	Curves *CurveCache
 }
 
@@ -298,6 +299,12 @@ func Compute(models []ml.Classifier, d *data.Dataset, cfg Config) (*Feedback, er
 // cancelled the computation stops at the next per-member interpretation
 // boundary and returns ctx.Err(). Results are unchanged by the context
 // otherwise.
+//
+// Each feature costs one class-fused committee sweep
+// (interpret.CommitteeClassesCtx): every class of cfg.Classes is read
+// from the same batch predicts, bit-identical to sweeping each class on
+// its own. cfg.Curves serves the sweep when it was built for exactly
+// this committee and dataset.
 func ComputeCtx(ctx context.Context, models []ml.Classifier, d *data.Dataset, cfg Config) (*Feedback, error) {
 	if len(models) == 0 {
 		return nil, ErrNoCommittee
@@ -306,7 +313,25 @@ func ComputeCtx(ctx context.Context, models []ml.Classifier, d *data.Dataset, cf
 		return nil, errors.New("core: empty background dataset")
 	}
 	cfg = cfg.withDefaults(d.Schema.NumClasses(), d.Schema.NumFeatures())
+	opt := interpret.Options{Bins: cfg.Bins, Workers: cfg.Workers}
+	sweep := func(ctx context.Context, j int) ([]interpret.CommitteeCurve, error) {
+		return interpret.CommitteeClassesCtx(ctx, models, d, j, cfg.Method, opt, cfg.Classes)
+	}
+	if c := cfg.Curves; c != nil && c.Dataset() == d && sameModels(c.Models(), models) {
+		sweep = func(ctx context.Context, j int) ([]interpret.CommitteeCurve, error) {
+			return c.CommitteeClasses(ctx, j, cfg.Method, opt, cfg.Classes)
+		}
+	}
+	return computeFeedback(ctx, d, cfg, sweep)
+}
 
+// classSweep returns feature j's committee curves, one per class of the
+// computation's class list, in that order.
+type classSweep func(ctx context.Context, j int) ([]interpret.CommitteeCurve, error)
+
+// computeFeedback turns per-feature class curves into the feedback
+// analysis. cfg must already carry its defaults.
+func computeFeedback(ctx context.Context, d *data.Dataset, cfg Config, sweep classSweep) (*Feedback, error) {
 	fb := &Feedback{
 		Method:     cfg.Method,
 		schema:     d.Schema,
@@ -323,29 +348,13 @@ func ComputeCtx(ctx context.Context, models []ml.Classifier, d *data.Dataset, cf
 
 	for _, j := range cfg.Features {
 		fa := FeatureAnalysis{Feature: j, Name: d.Schema.Features[j].Name, DominantClass: cfg.Classes[0]}
-		var curves []interpret.CommitteeCurve
-		skip := false
-		for _, class := range cfg.Classes {
-			opt := interpret.Options{Bins: cfg.Bins, Class: class, Workers: cfg.Workers}
-			var cc interpret.CommitteeCurve
-			var err error
-			if cfg.Curves != nil && cfg.Curves.Dataset() == d {
-				cc, err = cfg.Curves.Committee(ctx, j, cfg.Method, opt)
-			} else {
-				cc, err = interpret.CommitteeCtx(ctx, models, d, j, cfg.Method, opt)
-			}
-			if err != nil {
-				if errors.Is(err, interpret.ErrConstantFeature) {
-					skip = true
-					break
-				}
-				return nil, fmt.Errorf("core: feature %q class %d: %w", fa.Name, class, err)
-			}
-			curves = append(curves, cc)
-		}
-		if skip {
+		curves, err := sweep(ctx, j)
+		if errors.Is(err, interpret.ErrConstantFeature) {
 			feats = append(feats, perFeature{ok: false})
 			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: feature %q: %w", fa.Name, err)
 		}
 		fa.Grid = curves[0].Grid
 		n := len(fa.Grid)

@@ -29,6 +29,7 @@ type Options struct {
 	// Bins is the number of quantile bins (default 32).
 	Bins int
 	// Class selects the predicted-probability output explained.
+	// CommitteeClassesCtx ignores it and takes a class list instead.
 	Class int
 	// Workers bounds the goroutines used to evaluate committee members.
 	// 0 selects runtime.GOMAXPROCS(0); 1 forces serial execution. The
@@ -201,52 +202,69 @@ func probeClasses(model ml.Classifier, x []float64) int {
 	return len(model.PredictProba(x))
 }
 
-// aleOnGrid computes the first-order ALE curve for one model on a fixed
-// grid of bin edges.
-func aleOnGrid(model ml.Classifier, d *data.Dataset, feature int, edges []float64, class int) Curve {
+// classRows returns rows × cols zeroed float rows carved from one backing
+// array, each capped at its own length.
+func classRows(rows, cols int) [][]float64 {
+	back := make([]float64, rows*cols)
+	out := make([][]float64, rows)
+	for r := range out {
+		out[r] = back[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return out
+}
+
+// aleOnGrid computes one model's first-order ALE curves of feature on a
+// fixed grid of bin edges, one per entry of classes: values[c] is the
+// curve of classes[c]. Every class reads the same two batch predicts.
+func aleOnGrid(model ml.Classifier, d *data.Dataset, feature int, edges []float64, classes []int) [][]float64 {
 	K := len(edges) - 1
-	sumDelta := make([]float64, K+1) // index k: effects of bin k (1-based)
+	// values[c][k] first collects the effects of bin k (1-based; index 0
+	// stays zero), then is accumulated into the curve in place.
+	values := classRows(len(classes), K+1)
 	counts := make([]float64, K+1)
 	s := getGridScratch(d.Len(), d.Schema.NumFeatures(), probeClasses(model, d.X[0]))
 	defer putGridScratch(s)
-	aleAccumulate(model, d.X, feature, edges, class, s, sumDelta, counts)
+	aleAccumulate(model, d.X, feature, edges, classes, s, values, counts)
 
-	values := make([]float64, K+1)
-	acc := 0.0
-	for k := 1; k <= K; k++ {
-		if counts[k] > 0 {
-			acc += sumDelta[k] / counts[k]
+	for _, v := range values {
+		acc := 0.0
+		for k := 1; k <= K; k++ {
+			if counts[k] > 0 {
+				acc += v[k] / counts[k]
+			}
+			v[k] = acc
 		}
-		values[k] = acc
-	}
-	// Centre: subtract the data-weighted mean of the accumulated curve.
-	// Each data point in bin k sits between values[k-1] and values[k]; the
-	// standard estimator uses the bin-average of the two edge values.
-	totalW, mean := 0.0, 0.0
-	for k := 1; k <= K; k++ {
-		w := counts[k]
-		if w == 0 {
-			continue
+		// Centre: subtract the data-weighted mean of the accumulated
+		// curve. Each data point in bin k sits between v[k-1] and v[k];
+		// the standard estimator uses the bin-average of the two edge
+		// values.
+		totalW, mean := 0.0, 0.0
+		for k := 1; k <= K; k++ {
+			w := counts[k]
+			if w == 0 {
+				continue
+			}
+			mean += w * (v[k-1] + v[k]) / 2
+			totalW += w
 		}
-		mean += w * (values[k-1] + values[k]) / 2
-		totalW += w
-	}
-	if totalW > 0 {
-		mean /= totalW
-		for k := range values {
-			values[k] -= mean
+		if totalW > 0 {
+			mean /= totalW
+			for k := range v {
+				v[k] -= mean
+			}
 		}
 	}
-	return Curve{Feature: feature, Grid: edges, Values: values}
+	return values
 }
 
 // aleAccumulate is the steady-state ALE loop: it fills the perturbed-row
 // matrix with every row snapped to its bin's upper edge, batch-predicts,
 // flips the feature column to the lower edges, batch-predicts again, and
-// accumulates the per-bin probability deltas. Accumulation runs in original
-// row order — the same float addition order as row-at-a-time evaluation —
-// so results are bit-identical to the pre-batch implementation.
-func aleAccumulate(model ml.Classifier, X [][]float64, feature int, edges []float64, class int, s *gridScratch, sumDelta, counts []float64) {
+// accumulates the per-bin probability deltas of every requested class
+// into sumDelta[c]. Each class accumulates in original row order — the
+// same float addition order as row-at-a-time, one-class evaluation — so
+// results are bit-identical to the pre-batch implementation.
+func aleAccumulate(model ml.Classifier, X [][]float64, feature int, edges []float64, classes []int, s *gridScratch, sumDelta [][]float64, counts []float64) {
 	for i, row := range X {
 		k := binIndex(edges, row[feature])
 		s.bins[i] = k
@@ -260,16 +278,20 @@ func aleAccumulate(model ml.Classifier, X [][]float64, feature int, edges []floa
 	ml.PredictProbaBatchInto(model, s.rows, s.lo)
 	for i := range X {
 		k := s.bins[i]
-		sumDelta[k] += s.hi[i][class] - s.lo[i][class]
+		hi, lo := s.hi[i], s.lo[i]
+		for c, class := range classes {
+			sumDelta[c][k] += hi[class] - lo[class]
+		}
 		counts[k]++
 	}
 }
 
-// pdpOnGrid computes the partial-dependence curve for one model on a fixed
-// grid of bin edges. Rows are copied into the scratch matrix once; each
-// grid point only rewrites the feature column before a batch predict.
-func pdpOnGrid(model ml.Classifier, d *data.Dataset, feature int, edges []float64, class int) Curve {
-	values := make([]float64, len(edges))
+// pdpOnGrid computes one model's partial-dependence curves of feature on
+// a fixed grid of bin edges, one per entry of classes. Rows are copied
+// into the scratch matrix once; each grid point only rewrites the feature
+// column before the one batch predict every class reads.
+func pdpOnGrid(model ml.Classifier, d *data.Dataset, feature int, edges []float64, classes []int) [][]float64 {
+	values := classRows(len(classes), len(edges))
 	s := getGridScratch(d.Len(), d.Schema.NumFeatures(), probeClasses(model, d.X[0]))
 	defer putGridScratch(s)
 	for i, row := range d.X {
@@ -280,13 +302,17 @@ func pdpOnGrid(model ml.Classifier, d *data.Dataset, feature int, edges []float6
 			s.rows[i][feature] = z
 		}
 		ml.PredictProbaBatchInto(model, s.rows, s.hi)
-		sum := 0.0
 		for i := range s.rows {
-			sum += s.hi[i][class]
+			p := s.hi[i]
+			for c, class := range classes {
+				values[c][gi] += p[class]
+			}
 		}
-		values[gi] = sum / float64(d.Len())
+		for _, v := range values {
+			v[gi] /= float64(d.Len())
+		}
 	}
-	return Curve{Feature: feature, Grid: edges, Values: values}
+	return values
 }
 
 // ALE computes the first-order accumulated local effects of feature on the
@@ -300,7 +326,7 @@ func ALE(model ml.Classifier, d *data.Dataset, feature int, opt Options) (Curve,
 	if err != nil {
 		return Curve{}, err
 	}
-	return aleOnGrid(model, d, feature, edges, opt.Class), nil
+	return Curve{Feature: feature, Grid: edges, Values: aleOnGrid(model, d, feature, edges, []int{opt.Class})[0]}, nil
 }
 
 // PDP computes the partial-dependence curve of feature on the model's
@@ -314,7 +340,7 @@ func PDP(model ml.Classifier, d *data.Dataset, feature int, opt Options) (Curve,
 	if err != nil {
 		return Curve{}, err
 	}
-	return pdpOnGrid(model, d, feature, edges, opt.Class), nil
+	return Curve{Feature: feature, Grid: edges, Values: pdpOnGrid(model, d, feature, edges, []int{opt.Class})[0]}, nil
 }
 
 // Method selects the interpretation algorithm for committee computations.
@@ -355,49 +381,76 @@ func Committee(models []ml.Classifier, d *data.Dataset, feature int, method Meth
 
 // CommitteeCtx is Committee under a hard deadline: when ctx expires or is
 // cancelled the computation stops at the next member boundary and returns
-// ctx.Err(). Results are unchanged by the context otherwise.
+// ctx.Err(). Results are unchanged by the context otherwise. It is the
+// one-class case of CommitteeClassesCtx.
 func CommitteeCtx(ctx context.Context, models []ml.Classifier, d *data.Dataset, feature int, method Method, opt Options) (CommitteeCurve, error) {
 	opt = opt.withDefaults()
+	ccs, err := CommitteeClassesCtx(ctx, models, d, feature, method, opt, []int{opt.Class})
+	if err != nil {
+		return CommitteeCurve{}, err
+	}
+	return ccs[0], nil
+}
+
+// CommitteeClassesCtx computes the shared-grid committee interpretation
+// of one feature for every class in classes (opt.Class is ignored):
+// out[c] explains the probability of classes[c]. The quantile grid is
+// derived once, and each member runs one sweep — two batch predicts for
+// ALE, one per grid edge for PDP — whose probability rows feed every
+// class. Each class keeps the row-order accumulation of a one-class call,
+// so out[c] is bit-identical to CommitteeCtx with Class classes[c]. All
+// curves share one Grid slice, which callers must not modify.
+func CommitteeClassesCtx(ctx context.Context, models []ml.Classifier, d *data.Dataset, feature int, method Method, opt Options, classes []int) ([]CommitteeCurve, error) {
+	opt = opt.withDefaults()
 	if len(models) == 0 {
-		return CommitteeCurve{}, errors.New("interpret: empty committee")
+		return nil, errors.New("interpret: empty committee")
 	}
 	if d.Len() == 0 {
-		return CommitteeCurve{}, errors.New("interpret: empty background dataset")
+		return nil, errors.New("interpret: empty background dataset")
+	}
+	if len(classes) == 0 {
+		return nil, errors.New("interpret: no classes requested")
 	}
 	edges, err := quantileGrid(d, feature, opt.Bins)
 	if err != nil {
-		return CommitteeCurve{}, err
+		return nil, err
 	}
-	cc := CommitteeCurve{Feature: feature, Grid: edges}
 	// Every member evaluates the shared grid independently on the worker
 	// pool; curves are committed at the member's index, so PerModel (and
 	// everything derived from it) is identical for any worker count.
-	perModel, err := parallel.MapCtx(ctx, len(models), opt.Workers, func(i int) ([]float64, error) {
-		var c Curve
-		switch method {
-		case MethodPDP:
-			c = pdpOnGrid(models[i], d, feature, edges, opt.Class)
-		default:
-			c = aleOnGrid(models[i], d, feature, edges, opt.Class)
+	perModel, err := parallel.MapCtx(ctx, len(models), opt.Workers, func(i int) ([][]float64, error) {
+		if method == MethodPDP {
+			return pdpOnGrid(models[i], d, feature, edges, classes), nil
 		}
-		return c.Values, nil
+		return aleOnGrid(models[i], d, feature, edges, classes), nil
 	})
 	if err != nil {
-		return CommitteeCurve{}, err
+		return nil, err
 	}
-	cc.PerModel = perModel
 	n := len(edges)
-	cc.Mean = make([]float64, n)
-	cc.Std = make([]float64, n)
+	out := make([]CommitteeCurve, len(classes))
 	col := make([]float64, len(models))
-	for i := 0; i < n; i++ {
-		for m := range cc.PerModel {
-			col[m] = cc.PerModel[m][i]
+	for c := range classes {
+		cc := CommitteeCurve{
+			Feature:  feature,
+			Grid:     edges,
+			PerModel: make([][]float64, len(models)),
+			Mean:     make([]float64, n),
+			Std:      make([]float64, n),
 		}
-		cc.Mean[i] = stats.Mean(col)
-		cc.Std[i] = stats.PopStdDev(col)
+		for m := range models {
+			cc.PerModel[m] = perModel[m][c]
+		}
+		for i := 0; i < n; i++ {
+			for m := range cc.PerModel {
+				col[m] = cc.PerModel[m][i]
+			}
+			cc.Mean[i] = stats.Mean(col)
+			cc.Std[i] = stats.PopStdDev(col)
+		}
+		out[c] = cc
 	}
-	return cc, nil
+	return out, nil
 }
 
 // MaxStd returns the largest cross-model standard deviation on the curve.

@@ -45,13 +45,14 @@ func TestALEAccumulateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newGridScratch(d.Len(), d.Schema.NumFeatures(), probeClasses(f, d.X[0]))
-	sumDelta := make([]float64, len(edges))
+	classes := []int{0, 1}
+	sumDelta := classRows(len(classes), len(edges))
 	counts := make([]float64, len(edges))
 	allocs := testing.AllocsPerRun(20, func() {
-		for i := range sumDelta {
-			sumDelta[i], counts[i] = 0, 0
+		for i := range counts {
+			sumDelta[0][i], sumDelta[1][i], counts[i] = 0, 0, 0
 		}
-		aleAccumulate(f, d.X, 0, edges, 1, s, sumDelta, counts)
+		aleAccumulate(f, d.X, 0, edges, classes, s, sumDelta, counts)
 	})
 	if allocs != 0 {
 		t.Errorf("aleAccumulate allocates %.1f objects per run, want 0", allocs)
@@ -97,7 +98,7 @@ func TestBatchedALEMatchesRowAtATime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := aleOnGrid(model, d, feature, edges, 1)
+			got := aleOnGrid(model, d, feature, edges, []int{1})[0]
 
 			// Reference: the original per-row evaluation order.
 			K := len(edges) - 1
@@ -138,9 +139,9 @@ func TestBatchedALEMatchesRowAtATime(t *testing.T) {
 				}
 			}
 			for k := range values {
-				if got.Values[k] != values[k] {
+				if got[k] != values[k] {
 					t.Fatalf("%s feature %d bin %d: batched %v != row-at-a-time %v",
-						model.Name(), feature, k, got.Values[k], values[k])
+						model.Name(), feature, k, got[k], values[k])
 				}
 			}
 		}
@@ -159,7 +160,7 @@ func TestBatchedPDPMatchesRowAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pdpOnGrid(f, d, 0, edges, 1)
+	got := pdpOnGrid(f, d, 0, edges, []int{1})[0]
 	buf := make([]float64, d.Schema.NumFeatures())
 	for gi, z := range edges {
 		sum := 0.0
@@ -169,8 +170,8 @@ func TestBatchedPDPMatchesRowAtATime(t *testing.T) {
 			sum += f.PredictProba(buf)[1]
 		}
 		want := sum / float64(d.Len())
-		if got.Values[gi] != want {
-			t.Fatalf("grid %d: batched %v != row-at-a-time %v", gi, got.Values[gi], want)
+		if got[gi] != want {
+			t.Fatalf("grid %d: batched %v != row-at-a-time %v", gi, got[gi], want)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/netml/alefb/internal/automl"
 	"github.com/netml/alefb/internal/data"
@@ -330,4 +331,49 @@ func TestALEStaleCurveChaos(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
+}
+
+// TestHugeBinsRejected: a bins value past MaxBins on /v1/ale or
+// /v1/regions is a 400 bad_request answered before any grid is built —
+// 1<<40 bins would otherwise abort the whole process out of memory — and
+// the server keeps serving predicts afterwards. MaxBins itself is
+// accepted.
+func TestHugeBinsRejected(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		path    string
+		payload interface{}
+	}{
+		{"/v1/ale", ALERequest{Feature: 0, Class: 1, Bins: 1 << 40}},
+		{"/v1/regions", RegionsRequest{Bins: 1 << 40}},
+		{"/v1/ale", ALERequest{Feature: 0, Class: 1, Bins: MaxBins + 1}},
+		{"/v1/regions", RegionsRequest{Bins: MaxBins + 1}},
+	} {
+		start := time.Now()
+		status, _, body := doReq(t, http.MethodPost, ts.URL+tc.path, tc.payload)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s %+v = %d (body %s), want 400", tc.path, tc.payload, status, body)
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code != "bad_request" {
+			t.Fatalf("%s: error body %s, want code bad_request", tc.path, body)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("%s: rejection took %v", tc.path, el)
+		}
+	}
+	if ist := s.Model(DefaultModel).interp.Load(); ist != nil {
+		if _, misses := ist.stats(); misses != 0 {
+			t.Fatalf("rejected requests reached the interpretation cache (%d misses)", misses)
+		}
+	}
+	status, _, body := doReq(t, http.MethodPost, ts.URL+"/v1/predict",
+		PredictRequest{Rows: [][]float64{{0.3, 0.7}}})
+	if status != http.StatusOK {
+		t.Fatalf("predict after rejected bins = %d (%s)", status, body)
+	}
+	getALE(t, ts.URL+"/v1/ale", ALERequest{Feature: 0, Class: 1, Bins: MaxBins})
 }

@@ -967,8 +967,27 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, m *Model)
 
 // --- ale ------------------------------------------------------------------
 
+// MaxBins is the largest grid resolution a request may ask /v1/ale or
+// /v1/regions for; larger values are rejected with 400 before any work.
+// The quantile grid holds bins+1 edges and every member sweep walks them,
+// so an unbounded value could exhaust memory — a fatal runtime error that
+// no recover() catches, taking every tenant of the process down.
+const MaxBins = 4096
+
+// checkBins writes a 400 and reports false when a request's bins exceed
+// MaxBins.
+func checkBins(w http.ResponseWriter, bins int) bool {
+	if bins > MaxBins {
+		writeError(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("bins %d exceeds the limit of %d", bins, MaxBins))
+		return false
+	}
+	return true
+}
+
 // ALERequest selects a feature (by index, or by name when Name is set),
-// a class probability output, and an optional grid resolution.
+// a class probability output, and an optional grid resolution (at most
+// MaxBins).
 type ALERequest struct {
 	Feature int    `json:"feature"`
 	Name    string `json:"name,omitempty"`
@@ -992,7 +1011,7 @@ type ALEResponse struct {
 
 func (s *Server) handleALE(w http.ResponseWriter, r *http.Request, m *Model) {
 	var req ALERequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req) || !checkBins(w, req.Bins) {
 		return
 	}
 	snap, ok := currentSnapshot(w, m)
@@ -1080,7 +1099,8 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error, what string
 // --- regions --------------------------------------------------------------
 
 // RegionsRequest configures a disagreement-region query. Zero values keep
-// the server's feedback defaults (median-heuristic threshold).
+// the server's feedback defaults (median-heuristic threshold); Bins is at
+// most MaxBins.
 type RegionsRequest struct {
 	Bins      int     `json:"bins,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
@@ -1115,7 +1135,7 @@ type RegionsResponse struct {
 
 func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request, m *Model) {
 	var req RegionsRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req) || !checkBins(w, req.Bins) {
 		return
 	}
 	snap, ok := currentSnapshot(w, m)
