@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-manifest bench bench-ml bench-serve bench-smoke bench-json bench-check ci fmt-check vet fmt fuzz
+.PHONY: all build test race test-manifest bench bench-ml bench-serve bench-smoke bench-json bench-check bench-pair ci fmt-check vet fmt fuzz
 
 all: build test
 
@@ -92,6 +92,38 @@ bench-check:
 		-current results/bench_current.txt -threshold $(BENCH_THRESHOLD)
 	$(GO) run ./cmd/benchjson -check -json BENCH_SERVE.json \
 		-current results/bench_serve_current.txt -threshold $(BENCH_THRESHOLD)
+
+# bench-pair judges a change against REF on this host. It checks REF out
+# with `git worktree add` under .bench_build/, then runs the benchmarks
+# matching BENCH in PAIR_PKGS of REF's tree and of this tree alternately,
+# COUNT rounds of one run each (the side that goes first alternates too),
+# and prints per benchmark the median ns/op and B/op of both sides, their
+# ratio (this tree over REF) and how many rounds this tree won. Both sides
+# run within minutes of each other on one host, so the ratio does not
+# depend on the host the frozen baselines came from. Example:
+#   make bench-pair REF=HEAD~1 BENCH='Fit$$' COUNT=7
+REF ?=
+BENCH ?= Fit$$
+PAIR_PKGS ?= ./internal/ml/
+COUNT ?= 5
+PAIR_DIR = .bench_build/pair
+bench-pair:
+	@if [ -z "$(REF)" ]; then \
+		echo "usage: make bench-pair REF=<rev> [BENCH=regexp] [PAIR_PKGS=pkgs] [COUNT=n]"; exit 2; fi
+	rm -rf $(PAIR_DIR)
+	git worktree prune
+	mkdir -p $(PAIR_DIR)
+	git worktree add --detach $(PAIR_DIR)/ref $(REF)
+	for i in $$(seq $(COUNT)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="ref cur"; else order="cur ref"; fi; \
+		for side in $$order; do \
+			dir=.; [ $$side = ref ] && dir=$(PAIR_DIR)/ref; \
+			(cd $$dir && $(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count 1 $(PAIR_PKGS)) \
+				>> $(PAIR_DIR)/$$side.txt || exit 1; \
+		done; \
+	done
+	$(GO) run ./cmd/benchjson -pair -baseline $(PAIR_DIR)/ref.txt -current $(PAIR_DIR)/cur.txt
+	git worktree remove --force $(PAIR_DIR)/ref
 
 # ci is the full gate: formatting, vet, tests, the race detector over
 # everything, the contract-test manifest, the committed-sweep regression

@@ -18,12 +18,22 @@
 //
 //	go run ./cmd/benchjson -check -json BENCH_ML.json \
 //	    -current results/bench_current.txt -threshold 1.30
+//
+// With -pair it summarizes a paired same-host comparison (make
+// bench-pair): -baseline and -current each hold several runs of the same
+// benchmarks, run i of one side taken next to run i of the other. Per
+// benchmark it prints both sides' median ns/op and B/op, the ratio of
+// the medians (current over baseline) and how many pairs current won:
+//
+//	go run ./cmd/benchjson -pair -baseline ref.txt -current head.txt
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -33,7 +43,7 @@ import (
 
 // version identifies the converter build; bump when the JSON schema
 // changes.
-const version = "alefb-benchjson 0.7.0"
+const version = "alefb-benchjson 0.8.0"
 
 // metrics holds one benchmark line's measurements. Extra carries any
 // custom b.ReportMetric columns (e.g. the serving benchmark's "req/s"
@@ -77,12 +87,28 @@ var benchLine = regexp.MustCompile(
 // "5612 req/s".
 var extraMetric = regexp.MustCompile(`([0-9.]+) (\S+)`)
 
+// parseFile returns each benchmark's measurements from a sweep; when a
+// benchmark ran more than once, its last run.
 func parseFile(path string) (map[string]metrics, error) {
+	runs, err := parseRuns(path)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]metrics, len(runs))
+	for n, ms := range runs {
+		out[n] = ms[len(ms)-1]
+	}
+	return out, nil
+}
+
+// parseRuns returns every run of each benchmark in a sweep, in file
+// order.
+func parseRuns(path string) (map[string][]metrics, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]metrics)
+	out := make(map[string][]metrics)
 	for _, line := range strings.Split(string(b), "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -102,7 +128,7 @@ func parseFile(path string) (map[string]metrics, error) {
 			}
 			mt.Extra[ex[2]] = v
 		}
-		out[m[1]] = mt
+		out[m[1]] = append(out[m[1]], mt)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found in %s", path)
@@ -146,6 +172,72 @@ func checkRegressions(rep report, sweep map[string]metrics, sweepPath string, th
 	return regressions
 }
 
+// pairSummary prints the paired comparison of baseline and current runs:
+// per benchmark present on both sides, the median ns/op and B/op of
+// each, the current/baseline ratio of the medians, and the pairs (run i
+// against run i) in which current was faster. Benchmarks present on one
+// side only are listed as such.
+func pairSummary(w io.Writer, base, cur map[string][]metrics) {
+	names := make([]string, 0, len(base)+len(cur))
+	for n := range base {
+		names = append(names, n)
+	}
+	for n := range cur {
+		if _, ok := base[n]; !ok {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-36s %14s %14s %7s %12s %12s %7s %6s\n",
+		"benchmark", "base ns/op", "cur ns/op", "ratio", "base B/op", "cur B/op", "ratio", "wins")
+	for _, n := range names {
+		b, c := base[n], cur[n]
+		if len(c) == 0 {
+			fmt.Fprintf(w, "%-36s only in baseline\n", n)
+			continue
+		}
+		if len(b) == 0 {
+			fmt.Fprintf(w, "%-36s only in current\n", n)
+			continue
+		}
+		pairs := len(b)
+		if len(c) < pairs {
+			pairs = len(c)
+		}
+		wins := 0
+		for i := 0; i < pairs; i++ {
+			if c[i].NsPerOp < b[i].NsPerOp {
+				wins++
+			}
+		}
+		bn, cn := median(b, func(m metrics) float64 { return m.NsPerOp }), median(c, func(m metrics) float64 { return m.NsPerOp })
+		bb, cb := median(b, func(m metrics) float64 { return m.BytesPerOp }), median(c, func(m metrics) float64 { return m.BytesPerOp })
+		fmt.Fprintf(w, "%-36s %14.0f %14.0f %7.3f %12.0f %12.0f %7.3f %3d/%d\n",
+			n, bn, cn, ratio(cn, bn), bb, cb, ratio(cb, bb), wins, pairs)
+	}
+}
+
+// median returns the median of one measurement over runs.
+func median(runs []metrics, get func(metrics) float64) float64 {
+	v := make([]float64, len(runs))
+	for i, m := range runs {
+		v[i] = get(m)
+	}
+	sort.Float64s(v)
+	if len(v)%2 == 1 {
+		return v[len(v)/2]
+	}
+	return (v[len(v)/2-1] + v[len(v)/2]) / 2
+}
+
+// ratio is num/den, or NaN when den is zero.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return math.NaN()
+	}
+	return num / den
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "results/bench_baseline.txt", "baseline sweep (go test -bench -benchmem output)")
 	currentPath := flag.String("current", "results/bench_current.txt", "current sweep")
@@ -153,10 +245,26 @@ func main() {
 	check := flag.Bool("check", false, "regression-gate mode: compare -current against the committed -json instead of writing a report")
 	jsonPath := flag.String("json", "BENCH_ML.json", "committed report to gate against (with -check)")
 	threshold := flag.Float64("threshold", 1.30, "max allowed ns/op ratio vs the recorded value before -check fails")
+	pair := flag.Bool("pair", false, "paired mode: summarize repeated runs of -baseline against -current (see make bench-pair)")
 	showVer := flag.Bool("version", false, "print the version and exit")
 	flag.Parse()
 	if *showVer {
 		fmt.Println(version)
+		return
+	}
+
+	if *pair {
+		base, err := parseRuns(*baselinePath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		cur, err := parseRuns(*currentPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		pairSummary(os.Stdout, base, cur)
 		return
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -62,5 +63,36 @@ func TestCheckRegressions(t *testing.T) {
 	fast := map[string]metrics{"BenchmarkA": {NsPerOp: 60}, "BenchmarkB": {NsPerOp: 900}}
 	if n := checkRegressions(rep, fast, "sweep.txt", 1.0); n != 0 {
 		t.Fatalf("faster sweep flagged: %d", n)
+	}
+}
+
+func TestPairSummary(t *testing.T) {
+	base, err := parseRuns(writeSweep(t, `
+BenchmarkA-2   10   100 ns/op   64 B/op   2 allocs/op
+BenchmarkB-2   10   500 ns/op    0 B/op   0 allocs/op
+BenchmarkA-2   10   120 ns/op   64 B/op   2 allocs/op
+BenchmarkA-2   10   110 ns/op   64 B/op   2 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := parseRuns(writeSweep(t, `
+BenchmarkA-2   10    90 ns/op   32 B/op   1 allocs/op
+BenchmarkA-2   10   130 ns/op   32 B/op   1 allocs/op
+BenchmarkA-2   10    80 ns/op   32 B/op   1 allocs/op
+BenchmarkC-2   10     5 ns/op    0 B/op   0 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	pairSummary(&out, base, cur)
+	got := out.String()
+	// A: medians 110 vs 90 (ratio 0.818), B/op 64 vs 32; pairs 90<100,
+	// 130>120, 80<110 give 2 wins of 3.
+	for _, want := range []string{"0.818", "0.500", "2/3", "BenchmarkB", "only in baseline", "BenchmarkC", "only in current"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("summary lacks %q:\n%s", want, got)
+		}
 	}
 }

@@ -248,16 +248,18 @@ func (e *Ensemble) Name() string { return fmt.Sprintf("ensemble(%d members)", le
 
 // Fit implements ml.Classifier by refitting every member on d. Refits run
 // on the worker pool of the Run that built the ensemble (GOMAXPROCS for
-// loaded ensembles); each member's rng is split off serially first, so the
-// result does not depend on the worker count.
+// loaded ensembles) and share one sort of d's columns; each member's rng
+// is split off serially first, so the result does not depend on the
+// worker count.
 func (e *Ensemble) Fit(d *data.Dataset, r *rng.Rand) error {
 	rands := make([]*rng.Rand, len(e.Members))
 	for i := range rands {
 		rands[i] = r.Split()
 	}
+	cols := ml.NewSortedColumns(d)
 	return parallel.ForEach(len(e.Members), e.workers, func(i int) error {
 		fresh := Build(e.Members[i].Spec)
-		if err := fresh.Fit(d, rands[i]); err != nil {
+		if err := ml.FitSorted(fresh, d, cols, rands[i]); err != nil {
 			return fmt.Errorf("automl: refit member %d: %w", i, err)
 		}
 		e.Members[i].Model = fresh
@@ -328,10 +330,12 @@ func (d dropReason) String() string {
 }
 
 // fitOne fits m on d with panic isolation, applying any injected fault
-// registered under fault index gi. A recovered panic is returned as a
-// *parallel.PanicError with the fitting goroutine's stack preserved, so
-// one misbehaving candidate can never take down the whole search.
-func fitOne(m ml.Classifier, d *data.Dataset, r *rng.Rand, fault *faultinject.Injector, gi int) (err error) {
+// registered under fault index gi. Tree-family models grow from cols, the
+// sort of d's columns shared by every fit of d in this run (see
+// ml.FitSorted). A recovered panic is returned as a *parallel.PanicError
+// with the fitting goroutine's stack preserved, so one misbehaving
+// candidate can never take down the whole search.
+func fitOne(m ml.Classifier, d *data.Dataset, cols *ml.SortedColumns, r *rng.Rand, fault *faultinject.Injector, gi int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			buf := make([]byte, 64<<10)
@@ -347,7 +351,7 @@ func fitOne(m ml.Classifier, d *data.Dataset, r *rng.Rand, fault *faultinject.In
 	case faultinject.Error:
 		return faultinject.ErrInjected
 	}
-	return m.Fit(d, r)
+	return ml.FitSorted(m, d, cols, r)
 }
 
 // dropOf maps a fit failure to its drop reason.
@@ -433,8 +437,10 @@ func run(ctx context.Context, train *data.Dataset, cfg Config, cache *evalCache)
 		if err != nil {
 			return nil, fmt.Errorf("automl: cross-validation: %w", err)
 		}
-		for _, f := range folds {
+		foldCols := make([]*ml.SortedColumns, len(folds))
+		for i, f := range folds {
 			valY = append(valY, f.Val.Y...)
+			foldCols[i] = ml.NewSortedColumns(f.Train)
 		}
 		evaluate = func(gi int, spec Spec, tr *rng.Rand) (candidate, dropReason) {
 			if cfg.Fault.Fit(gi) == faultinject.Drop {
@@ -443,9 +449,9 @@ func run(ctx context.Context, train *data.Dataset, cfg Config, cache *evalCache)
 			start := time.Now()
 			var proba [][]float64
 			var model ml.Classifier
-			for _, f := range folds {
+			for fi, f := range folds {
 				m := Build(spec)
-				if err := fitOne(m, f.Train, tr.Split(), cfg.Fault, gi); err != nil {
+				if err := fitOne(m, f.Train, foldCols[fi], tr.Split(), cfg.Fault, gi); err != nil {
 					return candidate{}, dropOf(err)
 				}
 				proba = append(proba, ml.PredictProbaBatch(m, f.Val.X)...)
@@ -473,13 +479,14 @@ func run(ctx context.Context, train *data.Dataset, cfg Config, cache *evalCache)
 			return nil, errors.New("automl: degenerate train/validation split")
 		}
 		valY = valSet.Y
+		fitCols := ml.NewSortedColumns(fitSet)
 		evaluate = func(gi int, spec Spec, tr *rng.Rand) (candidate, dropReason) {
 			if cfg.Fault.Fit(gi) == faultinject.Drop {
 				return candidate{}, dropSkipped
 			}
 			start := time.Now()
 			model := Build(spec)
-			if err := fitOne(model, fitSet, tr.Split(), cfg.Fault, gi); err != nil {
+			if err := fitOne(model, fitSet, fitCols, tr.Split(), cfg.Fault, gi); err != nil {
 				return candidate{}, dropOf(err)
 			}
 			proba := ml.PredictProbaBatch(model, valSet.X)
@@ -676,9 +683,10 @@ func run(ctx context.Context, train *data.Dataset, cfg Config, cache *evalCache)
 		model ml.Classifier
 		err   error
 	}
+	trainCols := ml.NewSortedColumns(train)
 	refits, err := parallel.MapCtx(ctx, len(ens.Members), cfg.Workers, func(i int) (refit, error) {
 		fresh := Build(ens.Members[i].Spec)
-		if err := fitOne(fresh, train, rands[i], cfg.Fault, -(i + 1)); err != nil {
+		if err := fitOne(fresh, train, trainCols, rands[i], cfg.Fault, -(i + 1)); err != nil {
 			return refit{err: err}, nil
 		}
 		return refit{model: fresh}, nil
@@ -745,6 +753,7 @@ func preScreen(ctx context.Context, train *data.Dataset, total, keep, k, workers
 		specs[i] = applyEngine(randomSpecIn(r, allowed), engine)
 	}
 	screenSeed := r.Uint64()
+	screenCols := ml.NewSortedColumns(fitSet)
 	type scored struct {
 		spec  Spec
 		score float64
@@ -752,7 +761,7 @@ func preScreen(ctx context.Context, train *data.Dataset, total, keep, k, workers
 	}
 	results, err := parallel.MapCtx(ctx, total, workers, func(i int) (scored, error) {
 		m := Build(specs[i])
-		if err := fitOne(m, fitSet, rng.Derive(screenSeed, uint64(i)), nil, 0); err != nil {
+		if err := fitOne(m, fitSet, screenCols, rng.Derive(screenSeed, uint64(i)), nil, 0); err != nil {
 			return scored{}, nil
 		}
 		pred := ml.Predict(m, valSet.X)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/netml/alefb/internal/data"
+	"github.com/netml/alefb/internal/firewall"
 	"github.com/netml/alefb/internal/ml"
 	"github.com/netml/alefb/internal/rng"
 )
@@ -80,6 +81,23 @@ func BenchmarkAutoMLGenerationHist(b *testing.B) {
 		TrainEngine: engine,
 		Families:    []string{"tree", "forest", "xtrees", "gbdt", "adaboost"},
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(train, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAutoMLServeSearch measures one search at serve's search
+// config on the firewall workload, the search TestSearchGolden pins:
+// 2000 rows, 24 candidates over the full zoo, Workers 1. Every training
+// kernel of the zoo runs inside it, so it is the end-to-end gate of the
+// fit paths.
+func BenchmarkAutoMLServeSearch(b *testing.B) {
+	train := firewall.Generate(2000, rng.Derive(1, 1))
+	cfg := serveSearchConfig(1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

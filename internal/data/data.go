@@ -124,12 +124,27 @@ func (d *Dataset) Clone() *Dataset {
 // Subset returns a new dataset containing the given row indices. Rows are
 // shared, not copied; callers that mutate rows must Clone first.
 func (d *Dataset) Subset(idx []int) *Dataset {
-	s := &Dataset{Schema: d.Schema, X: make([][]float64, len(idx)), Y: make([]int, len(idx))}
-	for i, j := range idx {
-		s.X[i] = d.X[j]
-		s.Y[i] = d.Y[j]
+	return d.SubsetInto(idx, &Dataset{X: make([][]float64, 0, len(idx)), Y: make([]int, 0, len(idx))})
+}
+
+// SubsetInto is Subset into dst: it overwrites dst with the rows idx of d
+// (sharing row slices, as Subset does), reusing dst's X and Y backings
+// when they are large enough, and returns dst. Training loops that draw a
+// fresh resample every round keep one dst for the whole fit.
+func (d *Dataset) SubsetInto(idx []int, dst *Dataset) *Dataset {
+	dst.Schema = d.Schema
+	if cap(dst.X) < len(idx) {
+		dst.X = make([][]float64, len(idx))
 	}
-	return s
+	if cap(dst.Y) < len(idx) {
+		dst.Y = make([]int, len(idx))
+	}
+	dst.X, dst.Y = dst.X[:len(idx)], dst.Y[:len(idx)]
+	for i, j := range idx {
+		dst.X[i] = d.X[j]
+		dst.Y[i] = d.Y[j]
+	}
+	return dst
 }
 
 // Concat returns a new dataset with the rows of d followed by the rows of

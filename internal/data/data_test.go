@@ -76,6 +76,29 @@ func TestSubsetAndClone(t *testing.T) {
 	}
 }
 
+// TestSubsetIntoReuses checks that SubsetInto yields Subset's rows, and
+// that a destination reused for a same-size or smaller draw keeps its
+// backing and allocates nothing.
+func TestSubsetIntoReuses(t *testing.T) {
+	d := makeDataset(10, rng.New(3))
+	var dst Dataset
+	for _, idx := range [][]int{{9, 0, 4, 4, 1}, {3, 3, 3}, {8, 7, 6, 5, 2}} {
+		got, want := d.SubsetInto(idx, &dst), d.Subset(idx)
+		if got != &dst || got.Schema != d.Schema || got.Len() != want.Len() {
+			t.Fatalf("idx %v: SubsetInto returned %d rows, want %d in dst", idx, got.Len(), want.Len())
+		}
+		for i := range idx {
+			if &got.X[i][0] != &want.X[i][0] || got.Y[i] != want.Y[i] {
+				t.Fatalf("idx %v: row %d differs from Subset", idx, i)
+			}
+		}
+	}
+	idx := []int{1, 2, 3, 4}
+	if allocs := testing.AllocsPerRun(20, func() { d.SubsetInto(idx, &dst) }); allocs != 0 {
+		t.Errorf("SubsetInto into a large enough dst allocates %v/op, want 0", allocs)
+	}
+}
+
 func TestConcat(t *testing.T) {
 	r := rng.New(2)
 	a, b := makeDataset(4, r), makeDataset(6, r)

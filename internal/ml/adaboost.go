@@ -63,6 +63,10 @@ func (a *AdaBoost) Fit(d *data.Dataset, r *rng.Rand) error {
 	if d.Len() == 0 {
 		return ErrEmptyDataset
 	}
+	return a.fitColumns(d, NewSortedColumns(d), r)
+}
+
+func (a *AdaBoost) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) error {
 	cfg := a.Config
 	n := d.Len()
 	k := d.Schema.NumClasses()
@@ -78,42 +82,36 @@ func (a *AdaBoost) Fit(d *data.Dataset, r *rng.Rand) error {
 	// fitting via resampling keeps the tree code unchanged and is the
 	// standard randomized approximation). Every round's resample is a
 	// projection of one shared master sort (see presort.go), so the rows
-	// are never re-sorted after the initial presort.
+	// are never re-sorted; the sampler, the draw, the resampled dataset
+	// and the predictions each keep one backing for the whole fit.
 	scratch := newSplitScratch(k)
-	if cfg.Engine == EngineHist {
-		scratch.ps.sortMaster(d.X, d.Schema.NumFeatures())
-		scratch.hist.initHist(&scratch.ps, k, cfg.HistWorkers)
-	} else {
-		scratch.ps.presortMaster(d.X, d.Schema.NumFeatures())
-	}
+	scratch.useColumns(cols, cfg.Engine, k, cfg.HistWorkers)
 	idx := make([]int, n)
+	pred := make([]int, n)
+	var sampler rng.Cumulative
+	var sample data.Dataset
 	for round := 0; round < cfg.Rounds; round++ {
 		// One O(n) prefix-sum build amortized over n O(log n) draws: the
 		// naive per-draw Weighted scan made every round's resample O(n²).
-		sampler := rng.NewCumulative(weights)
+		sampler.Reset(weights)
 		for i := range idx {
 			idx[i] = sampler.Next(r)
 		}
-		sample := d.Subset(idx)
 		tree := NewTree(TreeConfig{
 			MaxDepth:       cfg.MaxDepth,
 			MinSamplesLeaf: 1,
 			Engine:         cfg.Engine,
 			HistWorkers:    cfg.HistWorkers,
 		})
-		if cfg.Engine == EngineHist {
-			scratch.hist.prepareSubset(&scratch.ps, idx)
-		} else {
-			scratch.ps.prepareSubset(idx)
-		}
-		if err := tree.fit(sample, r, scratch); err != nil {
+		scratch.viewSubset(idx)
+		if err := tree.fit(d.SubsetInto(idx, &sample), r, scratch); err != nil {
 			return fmt.Errorf("ml: adaboost round %d: %w", round, err)
 		}
-		// Weighted training error of this weak learner.
+		// Weighted training error of this weak learner, read straight off
+		// its flattened leaves (the class PredictOne would return).
 		errSum := 0.0
-		pred := make([]int, n)
 		for i, row := range d.X {
-			pred[i] = PredictOne(tree, row)
+			pred[i] = metrics.Argmax(tree.flat.leafFor(row))
 			if pred[i] != d.Y[i] {
 				errSum += weights[i]
 			}
@@ -148,11 +146,7 @@ func (a *AdaBoost) Fit(d *data.Dataset, r *rng.Rand) error {
 	if len(a.trees) == 0 {
 		// Degenerate data (e.g. one class): fall back to a single tree.
 		tree := NewTree(TreeConfig{MaxDepth: cfg.MaxDepth, Engine: cfg.Engine, HistWorkers: cfg.HistWorkers})
-		if cfg.Engine == EngineHist {
-			scratch.hist.prepareFull(&scratch.ps)
-		} else {
-			scratch.ps.prepareFull()
-		}
+		scratch.viewFull()
 		if err := tree.fit(d, r, scratch); err != nil {
 			return err
 		}

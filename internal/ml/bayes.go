@@ -177,7 +177,11 @@ func (m *MLP) Name() string {
 	return fmt.Sprintf("mlp(hidden=%d,lr=%g)", m.Config.Hidden, m.Config.LearningRate)
 }
 
-// Fit implements Classifier.
+// Fit implements Classifier. The SGD loop reads each weight row through
+// a local slice resliced to its loop bound (no per-element bounds checks
+// or field reloads) and visits rows in an order drawn into one buffer per
+// fit; every sum and every update keeps the operand order of the plain
+// nested-index loop, so the fitted weights are the same bit for bit.
 func (m *MLP) Fit(d *data.Dataset, r *rng.Rand) error {
 	if d.Len() == 0 {
 		return ErrEmptyDataset
@@ -187,77 +191,105 @@ func (m *MLP) Fit(d *data.Dataset, r *rng.Rand) error {
 	out := d.Schema.NumClasses()
 	h := cfg.Hidden
 
-	initLayer := func(rows, cols int, scale float64) [][]float64 {
-		w := make([][]float64, rows)
-		for i := range w {
-			w[i] = make([]float64, cols)
-			for j := range w[i] {
-				w[i][j] = r.Normal(0, scale)
-			}
-		}
-		return w
-	}
-	m.w1 = initLayer(h, in, math.Sqrt(2/float64(in)))
+	m.w1 = newLayer(h, in, math.Sqrt(2/float64(in)), r)
 	m.b1 = make([]float64, h)
-	m.w2 = initLayer(out, h, math.Sqrt(2/float64(h)))
+	m.w2 = newLayer(out, h, math.Sqrt(2/float64(h)), r)
 	m.b2 = make([]float64, out)
+	w1, b1, w2, b2 := m.w1, m.b1, m.w2, m.b2
+	l2 := cfg.L2
 
 	hidden := make([]float64, h)
 	scores := make([]float64, out)
 	proba := make([]float64, out)
 	dHidden := make([]float64, h)
-	n := d.Len()
+	order := make([]int, d.Len())
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		step := cfg.LearningRate / (1 + 0.01*float64(epoch))
-		for _, i := range r.Perm(n) {
+		r.PermInto(order)
+		for _, i := range order {
 			x := d.X[i]
 			// Forward.
-			for hi := 0; hi < h; hi++ {
-				s := m.b1[hi]
-				for j, v := range x {
-					s += m.w1[hi][j] * v
-				}
+			affineInto(hidden, w1, b1, x)
+			for hi, s := range hidden {
 				if s < 0 {
-					s = 0
+					hidden[hi] = 0
 				}
-				hidden[hi] = s
 			}
-			for o := 0; o < out; o++ {
-				s := m.b2[o]
-				for hi := 0; hi < h; hi++ {
-					s += m.w2[o][hi] * hidden[hi]
-				}
-				scores[o] = s
-			}
+			affineInto(scores, w2, b2, hidden)
 			softmaxInto(scores, proba)
 			// Backward.
 			for hi := range dHidden {
 				dHidden[hi] = 0
 			}
-			for o := 0; o < out; o++ {
-				grad := proba[o]
-				if d.Y[i] == o {
+			y := d.Y[i]
+			for o, grad := range proba {
+				if y == o {
 					grad -= 1
 				}
-				for hi := 0; hi < h; hi++ {
-					dHidden[hi] += grad * m.w2[o][hi]
-					m.w2[o][hi] -= step * (grad*hidden[hi] + cfg.L2*m.w2[o][hi])
+				w := w2[o][:len(hidden)]
+				dh := dHidden[:len(hidden)]
+				for hi, v := range hidden {
+					dh[hi] += grad * w[hi]
+					w[hi] -= step * (grad*v + l2*w[hi])
 				}
-				m.b2[o] -= step * grad
+				b2[o] -= step * grad
 			}
-			for hi := 0; hi < h; hi++ {
-				if hidden[hi] <= 0 {
+			for hi, v := range hidden {
+				if v <= 0 {
 					continue // ReLU gradient is zero
 				}
 				g := dHidden[hi]
-				for j, v := range x {
-					m.w1[hi][j] -= step * (g*v + cfg.L2*m.w1[hi][j])
+				w := w1[hi][:len(x)]
+				for j, xv := range x {
+					w[j] -= step * (g*xv + l2*w[j])
 				}
-				m.b1[hi] -= step * g
+				b1[hi] -= step * g
 			}
 		}
 	}
 	return nil
+}
+
+// affineInto sets out[i] = b[i] + Σ_j w[i][j]*x[j] for every row i, each
+// sum accumulated in ascending j exactly as a one-row loop would. Rows
+// are taken four at a time: four independent add chains keep the
+// floating-point adder busy where one chain would wait out each add's
+// latency, without changing any chain's operand order.
+func affineInto(out []float64, w [][]float64, b, x []float64) {
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		r0, r1, r2, r3 := w[i][:len(x)], w[i+1][:len(x)], w[i+2][:len(x)], w[i+3][:len(x)]
+		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(out); i++ {
+		r := w[i][:len(x)]
+		s := b[i]
+		for j, v := range x {
+			s += r[j] * v
+		}
+		out[i] = s
+	}
+}
+
+// newLayer draws a rows×cols weight matrix from N(0, scale²) in row-major
+// order, every row a capacity-capped view into one contiguous backing.
+func newLayer(rows, cols int, scale float64, r *rng.Rand) [][]float64 {
+	backing := make([]float64, rows*cols)
+	w := make([][]float64, rows)
+	for i := range w {
+		w[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
+		for j := range w[i] {
+			w[i][j] = r.Normal(0, scale)
+		}
+	}
+	return w
 }
 
 // PredictProba implements Classifier.

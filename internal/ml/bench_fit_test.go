@@ -103,3 +103,17 @@ func BenchmarkAdaBoostFit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMLPFit measures the MLP's SGD loop at a typical search
+// candidate's shape: 800 rows, 10 inputs, 32 hidden units, 30 epochs.
+func BenchmarkMLPFit(b *testing.B) {
+	train := fitBlobs(800, 10, 3, rng.New(36))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewMLP(MLPConfig{Hidden: 32, Epochs: 30})
+		if err := m.Fit(train, rng.New(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -26,6 +26,7 @@ package ml
 // reported, never tolerated.
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/netml/alefb/internal/wire"
@@ -298,7 +299,203 @@ func DecodeModel(r *wire.Reader) (Classifier, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("ml: decode model: %w", err)
 	}
+	if err := checkModel(c); err != nil {
+		return nil, fmt.Errorf("ml: decode model: %w", err)
+	}
 	return c, nil
+}
+
+// checkModel rejects a decoded model whose structure the predict path
+// cannot run safely. A CRC only proves the bytes are the ones written;
+// a crafted snapshot or ensemble file passes it, and the predict path
+// trusts its arrays (a tree child index pointing back loops the walk
+// forever, a short row or payload panics). So every shape the predict
+// path relies on is checked here, once, instead of on every predict.
+func checkModel(c Classifier) error {
+	switch m := c.(type) {
+	case *Tree:
+		return checkTree(m, m.nClasses)
+	case *Forest:
+		for i, t := range m.trees {
+			if err := checkTree(t, m.nClasses); err != nil {
+				return fmt.Errorf("forest tree %d: %w", i, err)
+			}
+		}
+	case *GBDT:
+		if m.nClasses < 1 || len(m.base) != m.nClasses {
+			return fmt.Errorf("gbdt: %d base scores for %d classes", len(m.base), m.nClasses)
+		}
+		for i, round := range m.rounds {
+			if len(round) != m.nClasses {
+				return fmt.Errorf("gbdt round %d: %d trees for %d classes", i, len(round), m.nClasses)
+			}
+			for j, t := range round {
+				f := &t.flat
+				if err := checkTreeShape(f.feature, f.threshold, f.left, f.right, -1, nil, 0); err != nil {
+					return fmt.Errorf("gbdt round %d tree %d: %w", i, j, err)
+				}
+			}
+		}
+	case *AdaBoost:
+		if len(m.alphas) != len(m.trees) {
+			return fmt.Errorf("adaboost: %d vote weights for %d trees", len(m.alphas), len(m.trees))
+		}
+		for i, t := range m.trees {
+			if err := checkTree(t, m.classes); err != nil {
+				return fmt.Errorf("adaboost tree %d: %w", i, err)
+			}
+		}
+	case *KNN:
+		if m.Config.K < 1 || m.nClasses < 1 {
+			return fmt.Errorf("knn: k=%d over %d classes", m.Config.K, m.nClasses)
+		}
+		if _, err := matrixWidth(m.X, "knn rows"); err != nil {
+			return err
+		}
+		if len(m.Y) != len(m.X) {
+			return fmt.Errorf("knn: %d labels for %d rows", len(m.Y), len(m.X))
+		}
+		for i, y := range m.Y {
+			if y < 0 || y >= m.nClasses {
+				return fmt.Errorf("knn: row %d label %d outside %d classes", i, y, m.nClasses)
+			}
+		}
+	case *LogReg:
+		return checkLinear(m.W, m.B, "logreg")
+	case *SVM:
+		return checkLinear(m.W, m.B, "svm")
+	case *GaussianNB:
+		if m.classes < 1 || len(m.logPrior) != 1 || len(m.logPrior[0]) != m.classes ||
+			len(m.mean) != m.classes || len(m.variance) != m.classes {
+			return fmt.Errorf("gnb: parameter shapes disagree with %d classes", m.classes)
+		}
+		wm, err := matrixWidth(m.mean, "gnb means")
+		if err != nil {
+			return err
+		}
+		if wv, err := matrixWidth(m.variance, "gnb variances"); err != nil || wv != wm {
+			return fmt.Errorf("gnb: variance width disagrees with mean width %d", wm)
+		}
+	case *MLP:
+		h := len(m.w1)
+		if h < 1 || len(m.b1) != h || len(m.w2) < 1 || len(m.b2) != len(m.w2) {
+			return fmt.Errorf("mlp: layer shapes disagree (%d/%d hidden, %d/%d out)", h, len(m.b1), len(m.w2), len(m.b2))
+		}
+		if _, err := matrixWidth(m.w1, "mlp input weights"); err != nil {
+			return err
+		}
+		if w, err := matrixWidth(m.w2, "mlp output weights"); err != nil || w != h {
+			return fmt.Errorf("mlp: output weights do not span %d hidden units", h)
+		}
+	case *Pipeline:
+		sw := scalerWidth(m.Scaler)
+		if sw < 0 {
+			return errors.New("pipeline: scaler vectors differ in length")
+		}
+		if mw := inputWidth(m.Model); sw > 0 && mw >= 0 && sw != mw {
+			return fmt.Errorf("pipeline: scaler covers %d features, model reads %d", sw, mw)
+		}
+	}
+	return nil
+}
+
+// checkTree validates a decoded classification tree of an ensemble with
+// k classes: its payload width must be k, and its arrays walkable.
+func checkTree(t *Tree, k int) error {
+	f := &t.flat
+	if k < 1 || t.nClasses != k || f.k != k {
+		return fmt.Errorf("tree with %d classes (payload %d) in a %d-class model", t.nClasses, f.k, k)
+	}
+	return checkTreeShape(f.feature, f.threshold, f.left, f.right, t.nFeatures, f.leafProba, k)
+}
+
+// checkTreeShape validates the SoA arrays the branchless walk trusts:
+// equal lengths; for every internal node a split feature below nFeatures
+// (when nFeatures >= 0) and children l, l+1 strictly after the node and
+// inside the arrays; for every leaf of a classification tree (k > 0) a
+// payload [left[i], left[i]+k) inside leafProba. Child indices only
+// grow, so every walk reaches a leaf in fewer steps than there are nodes.
+func checkTreeShape(feature []int32, threshold []float64, left, right []int32, nFeatures int, leafProba []float64, k int) error {
+	n := len(feature)
+	if n == 0 || len(threshold) != n || len(left) != n || len(right) != n {
+		return fmt.Errorf("tree arrays of lengths %d/%d/%d/%d", n, len(threshold), len(left), len(right))
+	}
+	for i, ft := range feature {
+		l := int(left[i])
+		if ft < 0 {
+			if k > 0 && (l < 0 || l+k > len(leafProba)) {
+				return fmt.Errorf("leaf %d payload [%d, %d) outside %d probabilities", i, l, l+k, len(leafProba))
+			}
+			continue
+		}
+		if nFeatures >= 0 && int(ft) >= nFeatures {
+			return fmt.Errorf("node %d splits on feature %d of %d", i, ft, nFeatures)
+		}
+		if l <= i || l+1 >= n || int(right[i]) != l+1 {
+			return fmt.Errorf("node %d has children %d, %d in a %d-node tree", i, left[i], right[i], n)
+		}
+	}
+	return nil
+}
+
+// checkLinear validates a linear model's class-weight matrix and biases.
+func checkLinear(W [][]float64, B []float64, name string) error {
+	if len(W) < 1 || len(B) != len(W) {
+		return fmt.Errorf("%s: %d biases for %d classes", name, len(B), len(W))
+	}
+	_, err := matrixWidth(W, name+" weights")
+	return err
+}
+
+// matrixWidth returns the common row length of a non-empty matrix, or an
+// error when it is empty or ragged.
+func matrixWidth(rows [][]float64, what string) (int, error) {
+	if len(rows) == 0 {
+		return 0, fmt.Errorf("%s: empty", what)
+	}
+	w := len(rows[0])
+	for i, row := range rows {
+		if len(row) != w {
+			return 0, fmt.Errorf("%s: row %d has %d entries, row 0 has %d", what, i, len(row), w)
+		}
+	}
+	return w, nil
+}
+
+// scalerWidth returns the number of features a decoded scaler covers (0
+// for none or unfitted), or -1 when its two vectors disagree.
+func scalerWidth(s Scaler) int {
+	var a, b []float64
+	switch sc := s.(type) {
+	case *StandardScaler:
+		a, b = sc.mean, sc.scale
+	case *MinMaxScaler:
+		a, b = sc.min, sc.span
+	}
+	if len(a) != len(b) {
+		return -1
+	}
+	return len(a)
+}
+
+// inputWidth returns the row width a decoded pipeline model reads, or -1
+// when the model does not record it.
+func inputWidth(c Classifier) int {
+	switch m := c.(type) {
+	case *KNN:
+		return len(m.X[0])
+	case *LogReg:
+		return len(m.W[0])
+	case *SVM:
+		return len(m.W[0])
+	case *GaussianNB:
+		return len(m.mean[0])
+	case *MLP:
+		return len(m.w1[0])
+	case *Tree:
+		return m.nFeatures
+	}
+	return -1
 }
 
 // appendTree encodes one fitted classification tree (config, shape

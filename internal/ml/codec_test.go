@@ -150,3 +150,130 @@ func TestModelCodecDecodedTreeDepth(t *testing.T) {
 		t.Fatal("decoded Name empty")
 	}
 }
+
+// TestModelCodecRejectsMalformed crafts structurally impossible models —
+// the shapes a CRC-valid but hand-made snapshot can carry — and requires
+// each to be rejected at decode with an error. The first case is the
+// cyclic tree: a root whose left child points back at itself encodes
+// fine, and before the decode-time checks its predict spun forever.
+func TestModelCodecRejectsMalformed(t *testing.T) {
+	train := blobs(160, 3, rng.New(8))
+	fit := func(c Classifier) Classifier {
+		if err := c.Fit(train, rng.New(8)); err != nil {
+			t.Fatalf("%s Fit: %v", c.Name(), err)
+		}
+		return c
+	}
+	tree := func() *Tree { return fit(NewTree(TreeConfig{MaxDepth: 4})).(*Tree) }
+	mlp := func() *MLP { return fit(NewMLP(MLPConfig{Hidden: 6, Epochs: 3})).(*MLP) }
+	cases := []struct {
+		name  string
+		model func() Classifier
+	}{
+		{"tree cycle at root", func() Classifier { m := tree(); m.flat.left[0] = 0; return m }},
+		{"tree child points back", func() Classifier {
+			m := tree()
+			m.flat.left[1] = 0
+			m.flat.right[1] = 1
+			if m.flat.feature[1] < 0 {
+				m.flat.feature[1] = 0
+			}
+			return m
+		}},
+		{"tree child past the end", func() Classifier {
+			m := tree()
+			m.flat.left[0] = int32(len(m.flat.feature) - 1)
+			m.flat.right[0] = m.flat.left[0] + 1
+			return m
+		}},
+		{"tree split feature out of range", func() Classifier { m := tree(); m.flat.feature[0] = int32(m.nFeatures); return m }},
+		{"tree leaf payload out of range", func() Classifier {
+			m := tree()
+			for i, f := range m.flat.feature {
+				if f < 0 {
+					m.flat.left[i] = int32(len(m.flat.leafProba) - 1)
+					break
+				}
+			}
+			return m
+		}},
+		{"tree ragged arrays", func() Classifier { m := tree(); m.flat.threshold = m.flat.threshold[:1]; return m }},
+		{"tree payload width", func() Classifier { m := tree(); m.flat.k = 2; return m }},
+		{"forest tree classes", func() Classifier {
+			m := fit(NewRandomForest(3, 3)).(*Forest)
+			m.nClasses = 4
+			return m
+		}},
+		{"gbdt regression tree cycle", func() Classifier {
+			m := fit(NewGBDT(GBDTConfig{NumRounds: 2})).(*GBDT)
+			m.rounds[1][0].flat.left[0] = 0
+			return m
+		}},
+		{"gbdt round width", func() Classifier {
+			m := fit(NewGBDT(GBDTConfig{NumRounds: 2})).(*GBDT)
+			m.rounds[0] = m.rounds[0][:2]
+			return m
+		}},
+		{"adaboost alphas", func() Classifier {
+			m := fit(NewAdaBoost(AdaBoostConfig{Rounds: 4})).(*AdaBoost)
+			m.alphas = m.alphas[:len(m.alphas)-1]
+			return m
+		}},
+		{"adaboost tree cycle", func() Classifier {
+			m := fit(NewAdaBoost(AdaBoostConfig{Rounds: 4})).(*AdaBoost)
+			m.trees[0].flat.left[0] = 0
+			return m
+		}},
+		{"mlp ragged input weights", func() Classifier { m := mlp(); m.w1[2] = m.w1[2][:1]; return m }},
+		{"mlp hidden biases", func() Classifier { m := mlp(); m.b1 = m.b1[:3]; return m }},
+		{"mlp output weights", func() Classifier { m := mlp(); m.w2[0] = append(m.w2[0][:len(m.w2[0]):len(m.w2[0])], 1); return m }},
+		{"logreg biases", func() Classifier {
+			m := fit(NewLogReg(LogRegConfig{Epochs: 2})).(*LogReg)
+			m.B = m.B[:1]
+			return m
+		}},
+		{"svm ragged weights", func() Classifier {
+			m := fit(NewSVM(SVMConfig{Epochs: 2})).(*SVM)
+			m.W[1] = m.W[1][:1]
+			return m
+		}},
+		{"gnb variance width", func() Classifier {
+			m := fit(NewGaussianNB()).(*GaussianNB)
+			m.variance[2] = m.variance[2][:1]
+			return m
+		}},
+		{"knn label out of range", func() Classifier {
+			m := fit(NewKNN(KNNConfig{K: 3})).(*KNN)
+			m.Y[5] = 3
+			return m
+		}},
+		{"knn ragged rows", func() Classifier {
+			m := fit(NewKNN(KNNConfig{K: 3})).(*KNN)
+			m.X = append(append([][]float64(nil), m.X...), []float64{1})
+			m.Y = append(m.Y, 0)
+			return m
+		}},
+		{"scaler vectors disagree", func() Classifier {
+			p := fit(&Pipeline{Scaler: &StandardScaler{}, Model: NewLogReg(LogRegConfig{Epochs: 2})}).(*Pipeline)
+			p.Scaler.(*StandardScaler).scale = []float64{1}
+			return p
+		}},
+		{"scaler width disagrees with model", func() Classifier {
+			p := fit(&Pipeline{Scaler: &MinMaxScaler{}, Model: NewMLP(MLPConfig{Hidden: 4, Epochs: 2})}).(*Pipeline)
+			s := p.Scaler.(*MinMaxScaler)
+			s.min, s.span = append(s.min, 0), append(s.span, 1)
+			return p
+		}},
+	}
+	for _, c := range cases {
+		buf, err := AppendModel(nil, c.model())
+		if err != nil {
+			t.Fatalf("%s: encode: %v", c.name, err)
+		}
+		if _, err := DecodeModel(wire.NewReader(buf)); err == nil {
+			t.Errorf("%s: decoded without error", c.name)
+		} else {
+			t.Logf("%s: %v", c.name, err)
+		}
+	}
+}

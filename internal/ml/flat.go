@@ -294,7 +294,8 @@ type splitScratch struct {
 	nodeCounts  []float64 // per-node class totals (hist engine, bestSplitHist)
 	feats       []int     // per-node candidate-feature draw (rng.SampleInto)
 	ps          presorted
-	hist        histogram // bin maps + node-histogram arenas (hist.go)
+	hist        histogram   // bin maps + node-histogram arenas (hist.go)
+	engine      TrainEngine // the engine useColumns prepared for
 
 	// Chunked arenas for the pointer nodes and leaf payloads the build
 	// step produces: each chunk is handed out slot by slot and replaced —
@@ -307,7 +308,7 @@ type splitScratch struct {
 }
 
 // newSplitScratch returns a scratch for k classes; the presorted buffers
-// size themselves when presortMaster sees the training matrix.
+// size themselves when useColumns attaches the training matrix.
 func newSplitScratch(k int) *splitScratch {
 	return &splitScratch{
 		leftCounts:  make([]float64, k),

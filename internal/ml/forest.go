@@ -75,6 +75,10 @@ func (f *Forest) Fit(d *data.Dataset, r *rng.Rand) error {
 	if d.Len() == 0 {
 		return ErrEmptyDataset
 	}
+	return f.fitColumns(d, NewSortedColumns(d), r)
+}
+
+func (f *Forest) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) error {
 	cfg := f.Config
 	maxFeatures := cfg.MaxFeatures
 	if maxFeatures <= 0 {
@@ -87,15 +91,12 @@ func (f *Forest) Fit(d *data.Dataset, r *rng.Rand) error {
 	f.trees = make([]*Tree, cfg.NumTrees)
 	// One scratch — and one master sort of the training matrix — shared by
 	// every tree: bootstrap trees project the master orderings through
-	// their resample, extra-trees restore the full view by copy.
+	// their resample, extra-trees restore the full view by copy. The
+	// bootstrap draw and its resampled dataset reuse one backing each.
 	scratch := newSplitScratch(f.nClasses)
-	if cfg.Engine == EngineHist {
-		scratch.ps.sortMaster(d.X, d.Schema.NumFeatures())
-		scratch.hist.initHist(&scratch.ps, f.nClasses, cfg.HistWorkers)
-	} else {
-		scratch.ps.presortMaster(d.X, d.Schema.NumFeatures())
-	}
+	scratch.useColumns(cols, cfg.Engine, f.nClasses, cfg.HistWorkers)
 	var idx []int
+	var sample data.Dataset
 	if cfg.Bootstrap {
 		idx = make([]int, d.Len())
 	}
@@ -113,16 +114,10 @@ func (f *Forest) Fit(d *data.Dataset, r *rng.Rand) error {
 			for i := range idx {
 				idx[i] = r.Intn(d.Len())
 			}
-			train = d.Subset(idx)
-			if cfg.Engine == EngineHist {
-				scratch.hist.prepareSubset(&scratch.ps, idx)
-			} else {
-				scratch.ps.prepareSubset(idx)
-			}
-		} else if cfg.Engine == EngineHist {
-			scratch.hist.prepareFull(&scratch.ps)
+			train = d.SubsetInto(idx, &sample)
+			scratch.viewSubset(idx)
 		} else {
-			scratch.ps.prepareFull()
+			scratch.viewFull()
 		}
 		if err := tree.fit(train, r, scratch); err != nil {
 			return fmt.Errorf("ml: forest tree %d: %w", t, err)

@@ -70,6 +70,10 @@ func (g *GBDT) Fit(d *data.Dataset, r *rng.Rand) error {
 	if d.Len() == 0 {
 		return ErrEmptyDataset
 	}
+	return g.fitColumns(d, NewSortedColumns(d), r)
+}
+
+func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) error {
 	cfg := g.Config
 	n := d.Len()
 	g.nClasses = d.Schema.NumClasses()
@@ -94,12 +98,7 @@ func (g *GBDT) Fit(d *data.Dataset, r *rng.Rand) error {
 	// across every round and class: full-row rounds restore the presorted
 	// view by copy, subsampled rounds project it through the row draw.
 	scratch := newSplitScratch(g.nClasses)
-	if cfg.Engine == EngineHist {
-		scratch.ps.sortMaster(d.X, d.Schema.NumFeatures())
-		scratch.hist.initHist(&scratch.ps, 3, cfg.HistWorkers)
-	} else {
-		scratch.ps.presortMaster(d.X, d.Schema.NumFeatures())
-	}
+	scratch.useColumns(cols, cfg.Engine, 3, cfg.HistWorkers)
 	subsampled := cfg.Subsample < 1
 	var subY []float64
 	if subsampled {
@@ -133,11 +132,7 @@ func (g *GBDT) Fit(d *data.Dataset, r *rng.Rand) error {
 					}
 					subY[si] = target - proba[k]
 				}
-				if cfg.Engine == EngineHist {
-					scratch.hist.prepareSubset(&scratch.ps, rowIdx)
-				} else {
-					scratch.ps.prepareSubset(rowIdx)
-				}
+				scratch.viewSubset(rowIdx)
 				t.fit(subY[:len(rowIdx)], scratch)
 			} else {
 				for i := 0; i < n; i++ {
@@ -148,11 +143,7 @@ func (g *GBDT) Fit(d *data.Dataset, r *rng.Rand) error {
 					}
 					residual[i] = target - proba[k]
 				}
-				if cfg.Engine == EngineHist {
-					scratch.hist.prepareFull(&scratch.ps)
-				} else {
-					scratch.ps.prepareFull()
-				}
+				scratch.viewFull()
 				t.fit(residual, scratch)
 			}
 			trees[k] = t

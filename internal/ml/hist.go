@@ -139,7 +139,7 @@ type histogram struct {
 	levels [][]float64
 }
 
-// initHist sizes the binning for the master matrix in ps (sortMaster must
+// initHist sizes the binning for the master matrix in ps (attach must
 // have run) and quantizes every feature column: cut points from the
 // sorted runs, then the row→bin index map. Both passes parallelize across
 // features; each feature's outputs are disjoint, so the result is

@@ -78,8 +78,9 @@ func (l *LogReg) Fit(d *data.Dataset, r *rng.Rand) error {
 	proba := make([]float64, k)
 	n := d.Len()
 	lr := cfg.LearningRate
+	order := make([]int, n)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		order := r.Perm(n)
+		r.PermInto(order)
 		// 1/t learning-rate decay keeps late epochs stable.
 		step := lr / (1 + 0.01*float64(epoch))
 		for start := 0; start < n; start += cfg.BatchSize {
@@ -195,8 +196,10 @@ func (s *SVM) Fit(d *data.Dataset, r *rng.Rand) error {
 	n := d.Len()
 	lambda := s.Config.Lambda
 	t := 1.0
+	order := make([]int, n)
 	for epoch := 0; epoch < s.Config.Epochs; epoch++ {
-		for _, i := range r.Perm(n) {
+		r.PermInto(order)
+		for _, i := range order {
 			x := d.X[i]
 			eta := 1 / (lambda * t)
 			t++

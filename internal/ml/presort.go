@@ -1,6 +1,12 @@
 package ml
 
-import "sort"
+import (
+	"sort"
+	"sync"
+
+	"github.com/netml/alefb/internal/data"
+	"github.com/netml/alefb/internal/rng"
+)
 
 // This file implements the presort-and-partition training engine shared
 // by the whole tree family (CART, extra-trees, forests, GBDT regression
@@ -35,8 +41,10 @@ import "sort"
 //     it replaces, and extra-trees thresholds still draw one Uniform per
 //     non-constant candidate feature.
 //
-// One master copy of the sorted orderings survives the whole ensemble
-// fit; each tree trains on a working copy (partitioning is destructive),
+// One master copy of the sorted orderings (SortedColumns) survives the
+// whole ensemble fit — and, when a caller shares it through FitSorted,
+// every fit of the same dataset; each tree trains on a working copy
+// (partitioning is destructive),
 // restored by memcpy — or, for trees trained on a row subset (bootstrap
 // resamples, GBDT subsampling, AdaBoost reweighted samples), by a linear
 // counting projection of the master ordering through the subset, which
@@ -44,14 +52,15 @@ import "sort"
 
 // presorted holds the sorted feature orderings for one training matrix
 // plus the working state one tree fit partitions. It lives inside
-// splitScratch so an ensemble shares a single master sort.
+// splitScratch; its master orderings are a SortedColumns that every tree
+// of the ensemble — and every other fit sharing the columns — reads.
 type presorted struct {
-	// masterRows and nf describe the matrix presortMaster covered.
+	// masterRows and nf describe the attached master matrix.
 	masterRows int
 	nf         int
-	// masterOrd/masterVal hold, per feature f, the block [f*masterRows,
-	// (f+1)*masterRows) of row indices sorted ascending by (value, row)
-	// and the values in that order (the column-major view).
+	// masterOrd/masterVal alias the attached SortedColumns: per feature f,
+	// the block [f*masterRows, (f+1)*masterRows) of row indices sorted
+	// ascending by (value, row) and the values in that order. Read-only.
 	masterOrd []int32
 	masterVal []float64
 
@@ -78,14 +87,79 @@ type presorted struct {
 	bucketStart []int32
 	bucketEnd   []int32
 	bucketJ     []int32
+}
 
-	sorter featSorter
+// SortedColumns is the column-major sort of one dataset's feature
+// matrix: per feature, the row indices in ascending (value, row) order
+// and the values in that order. It is the master every tree-family fit
+// grows its trees from. Once sorted it is never written again, so one
+// SortedColumns may serve any number of fits of the same dataset, on any
+// number of goroutines — an AutoML search sorts its fit set once for
+// every tree-family candidate instead of once per fit.
+type SortedColumns struct {
+	d    *data.Dataset
+	once sync.Once
+	rows int
+	nf   int
+	// ord/val hold, per feature f, the block [f*rows, (f+1)*rows).
+	ord []int32
+	val []float64
+}
+
+// NewSortedColumns returns the sorted column view of d. The sort runs on
+// first use, so a view that no tree-family fit asks for costs nothing.
+// d must not change while the view is in use.
+func NewSortedColumns(d *data.Dataset) *SortedColumns {
+	return &SortedColumns{d: d}
+}
+
+// sorted sorts the columns on first use and returns c.
+func (c *SortedColumns) sorted() *SortedColumns {
+	c.once.Do(func() {
+		X := c.d.X
+		n0, nf := len(X), c.d.Schema.NumFeatures()
+		c.rows, c.nf = n0, nf
+		c.ord = make([]int32, n0*nf)
+		c.val = make([]float64, n0*nf)
+		var sorter featSorter
+		for f := 0; f < nf; f++ {
+			ord := c.ord[f*n0 : (f+1)*n0]
+			val := c.val[f*n0 : (f+1)*n0]
+			for i := 0; i < n0; i++ {
+				ord[i] = int32(i)
+				val[i] = X[i][f]
+			}
+			sorter.ord, sorter.val = ord, val
+			sort.Sort(&sorter)
+		}
+	})
+	return c
+}
+
+// columnFitter is implemented by the tree families, which grow every
+// tree of a fit from a SortedColumns master.
+type columnFitter interface {
+	fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) error
+}
+
+// FitSorted fits c on d exactly as c.Fit(d, r) does — the same model bit
+// for bit, from the same rng draws — except that a tree-family model
+// grows from cols, a sort of d's columns shared with other fits, instead
+// of sorting d again. cols is ignored when it is nil, when it was built
+// over a dataset other than d, or when c is not a tree family.
+func FitSorted(c Classifier, d *data.Dataset, cols *SortedColumns, r *rng.Rand) error {
+	if cf, ok := c.(columnFitter); ok && cols != nil && cols.d == d {
+		if d.Len() == 0 {
+			return ErrEmptyDataset
+		}
+		return cf.fitColumns(d, cols, r)
+	}
+	return c.Fit(d, r)
 }
 
 // featSorter sorts one feature's (ord, val) block ascending by value with
 // row index as the tie-break, giving every feature a total, deterministic
-// order. It is a value inside presorted so the interface conversion in
-// sort.Sort does not allocate.
+// order.
 type featSorter struct {
 	ord []int32
 	val []float64
@@ -103,33 +177,15 @@ func (p *featSorter) Swap(i, j int) {
 	p.val[i], p.val[j] = p.val[j], p.val[i]
 }
 
-// presortMaster sorts every feature column of X once and sizes the
-// working orderings the presort engine partitions. Callers then select a
-// working view with prepareFull or prepareSubset before each tree fit.
-func (ps *presorted) presortMaster(X [][]float64, nf int) {
-	ps.sortMaster(X, nf)
-	need := ps.masterRows * nf
-	if cap(ps.ord) < need {
-		ps.ord = make([]int32, need)
-		ps.val = make([]float64, need)
-	}
-}
-
-// sortMaster sorts every feature column of X once into the master
-// orderings, without allocating the presort engine's working copies. The
-// histogram engine (hist.go) calls it directly: it reads the sorted
-// master columns to place its bin cut points but never partitions value
-// orderings, so the O(rows×features) working arrays would be dead weight.
-func (ps *presorted) sortMaster(X [][]float64, nf int) {
-	n0 := len(X)
+// attach makes the sorted columns the master orderings of this scratch —
+// shared and read-only — and sizes the per-fit state over them. working
+// also sizes the presort engine's partitioned working copies; the
+// histogram engine (hist.go) reads the master columns to place its bin
+// cut points but never partitions value orderings, so it skips them.
+func (ps *presorted) attach(cols *SortedColumns, working bool) {
+	n0, nf := cols.rows, cols.nf
 	ps.masterRows, ps.nf = n0, nf
-	need := n0 * nf
-	if cap(ps.masterOrd) < need {
-		ps.masterOrd = make([]int32, need)
-		ps.masterVal = make([]float64, need)
-	}
-	ps.masterOrd = ps.masterOrd[:need]
-	ps.masterVal = ps.masterVal[:need]
+	ps.masterOrd, ps.masterVal = cols.ord, cols.val
 	if cap(ps.rows) < n0 {
 		ps.rows = make([]int32, n0)
 		ps.mask = make([]bool, n0)
@@ -141,17 +197,41 @@ func (ps *presorted) sortMaster(X [][]float64, nf int) {
 	if cap(ps.bucketStart) < n0+1 {
 		ps.bucketStart = make([]int32, n0+1)
 	}
-	for f := 0; f < nf; f++ {
-		ord := ps.masterOrd[f*n0 : (f+1)*n0]
-		val := ps.masterVal[f*n0 : (f+1)*n0]
-		for i := 0; i < n0; i++ {
-			ord[i] = int32(i)
-			val[i] = X[i][f]
-		}
-		ps.sorter.ord, ps.sorter.val = ord, val
-		sort.Sort(&ps.sorter)
+	if need := n0 * nf; working && cap(ps.ord) < need {
+		ps.ord = make([]int32, need)
+		ps.val = make([]float64, need)
 	}
-	ps.sorter.ord, ps.sorter.val = nil, nil
+}
+
+// useColumns attaches cols as the master of every tree this scratch grows
+// and prepares the engine's per-fit state: the working orderings of the
+// presort engine, or the bin maps of the histogram engine with width
+// float64 slots per bin (see histogram.width).
+func (s *splitScratch) useColumns(cols *SortedColumns, engine TrainEngine, width, histWorkers int) {
+	s.engine = engine
+	s.ps.attach(cols.sorted(), engine != EngineHist)
+	if engine == EngineHist {
+		s.hist.initHist(&s.ps, width, histWorkers)
+	}
+}
+
+// viewFull selects every master row as the next tree's working view.
+func (s *splitScratch) viewFull() {
+	if s.engine == EngineHist {
+		s.hist.prepareFull(&s.ps)
+	} else {
+		s.ps.prepareFull()
+	}
+}
+
+// viewSubset selects the rows idx (a multiset of master rows; working row
+// j stands for master row idx[j]) as the next tree's working view.
+func (s *splitScratch) viewSubset(idx []int) {
+	if s.engine == EngineHist {
+		s.hist.prepareSubset(&s.ps, idx)
+	} else {
+		s.ps.prepareSubset(idx)
+	}
 }
 
 // prepareFull selects the full master matrix as the working view: a

@@ -81,22 +81,20 @@ func (t *Tree) Fit(d *data.Dataset, r *rng.Rand) error {
 	if d.Len() == 0 {
 		return ErrEmptyDataset
 	}
+	return t.fitColumns(d, NewSortedColumns(d), r)
+}
+
+func (t *Tree) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) error {
 	s := newSplitScratch(d.Schema.NumClasses())
-	if t.Config.Engine == EngineHist {
-		s.ps.sortMaster(d.X, d.Schema.NumFeatures())
-		s.hist.initHist(&s.ps, d.Schema.NumClasses(), t.Config.HistWorkers)
-		s.hist.prepareFull(&s.ps)
-	} else {
-		s.ps.presortMaster(d.X, d.Schema.NumFeatures())
-		s.ps.prepareFull()
-	}
+	s.useColumns(cols, t.Config.Engine, d.Schema.NumClasses(), t.Config.HistWorkers)
+	s.viewFull()
 	return t.fit(d, r, s)
 }
 
-// fit trains the tree with caller-provided scratch whose presorted view
-// has been prepared for exactly the rows of d (prepareFull, or
-// prepareSubset with the index set d was built from), so ensembles share
-// one master sort and one scratch across all of their trees.
+// fit trains the tree with caller-provided scratch whose working view
+// has been prepared for exactly the rows of d (viewFull, or viewSubset
+// with the index set d was built from), so ensembles share one master
+// sort and one scratch across all of their trees.
 func (t *Tree) fit(d *data.Dataset, r *rng.Rand, s *splitScratch) error {
 	if d.Len() == 0 {
 		return ErrEmptyDataset

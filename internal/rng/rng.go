@@ -168,11 +168,22 @@ func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a pseudo-random permutation of [0, len(p)): the
+// permutation Perm(len(p)) returns, from exactly the same draws, written
+// into the caller's buffer. SGD fits reuse one buffer for every epoch's
+// visiting order.
+func (r *Rand) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
+	for i := len(p) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 }
 
 // Shuffle performs a Fisher-Yates shuffle over n elements using swap.
@@ -289,15 +300,27 @@ type Cumulative struct {
 // weights are zero, draws fall back to uniform. The weights slice is not
 // retained.
 func NewCumulative(weights []float64) *Cumulative {
-	cum := make([]float64, len(weights))
+	c := &Cumulative{}
+	c.Reset(weights)
+	return c
+}
+
+// Reset rebuilds the sampler over weights in place, reusing its prefix-sum
+// buffer, so a caller that resamples from changing weights (AdaBoost's
+// rounds) builds one buffer per fit instead of one per round. The sampler
+// then draws exactly as NewCumulative(weights) would.
+func (c *Cumulative) Reset(weights []float64) {
+	if cap(c.cum) < len(weights) {
+		c.cum = make([]float64, len(weights))
+	}
+	c.cum = c.cum[:len(weights)]
 	total := 0.0
 	for i, w := range weights {
 		if w > 0 {
 			total += w
 		}
-		cum[i] = total
+		c.cum[i] = total
 	}
-	return &Cumulative{cum: cum}
 }
 
 // Next draws one index proportionally to the sampler's weights.

@@ -390,3 +390,67 @@ func TestCumulativeProportions(t *testing.T) {
 		}
 	}
 }
+
+// shufflePerm is the Shuffle-based permutation Perm used before PermInto
+// existed, kept as the stream oracle.
+func shufflePerm(r *Rand, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}
+
+// TestPermIntoMatchesPerm checks that PermInto writes the oracle's
+// permutation and leaves the generator in the same state, so a fit that
+// swaps Perm for PermInto consumes the same stream draw for draw — even
+// from a dirty buffer.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
+		a, b, c := New(uint64(n)+5), New(uint64(n)+5), New(uint64(n)+5)
+		buf := make([]int, n)
+		for i := range buf {
+			buf[i] = -i - 3
+		}
+		for round := 0; round < 3; round++ {
+			want := shufflePerm(a, n)
+			b.PermInto(buf)
+			got := c.Perm(n)
+			for i := range want {
+				if buf[i] != want[i] || got[i] != want[i] {
+					t.Fatalf("n=%d round %d: index %d: PermInto %d, Perm %d, oracle %d", n, round, i, buf[i], got[i], want[i])
+				}
+			}
+			if a.s != b.s || a.s != c.s {
+				t.Fatalf("n=%d round %d: generator states diverge", n, round)
+			}
+		}
+	}
+}
+
+// TestCumulativeResetMatchesNew checks that a reused sampler rebuilt with
+// Reset draws exactly as a fresh NewCumulative over the same weights,
+// including after shrinking and growing the weight vector.
+func TestCumulativeResetMatchesNew(t *testing.T) {
+	vectors := [][]float64{
+		{0.5, 0.25, 0.25},
+		{1, 0, 2, 0, 1, 3, 0.5},
+		{0, 0},
+		{2, -3, 1, 0, 0.5, 0.5},
+	}
+	var c Cumulative
+	for vi, w := range vectors {
+		c.Reset(w)
+		fresh := NewCumulative(w)
+		a, b := New(uint64(vi)+9), New(uint64(vi)+9)
+		for draw := 0; draw < 500; draw++ {
+			if got, want := c.Next(a), fresh.Next(b); got != want {
+				t.Fatalf("vector %d draw %d: Reset sampler %d, fresh %d", vi, draw, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { c.Reset(vectors[0]) }); allocs != 0 {
+		t.Errorf("Reset into a large enough buffer allocates %v/op, want 0", allocs)
+	}
+}

@@ -2,9 +2,14 @@ package alefb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"testing"
+
+	"github.com/netml/alefb/internal/wire"
 )
 
 // saveBytes runs SaveEnsemble into memory.
@@ -182,4 +187,97 @@ func TestLoadEnsembleCorruptionSweep(t *testing.T) {
 		}
 		flipped[i] ^= 0xFF
 	}
+}
+
+// TestLoadEnsembleRejectsCyclicTree crafts a snapshot file whose first
+// member is a tree with its root's left child pointing back at the root,
+// with every CRC and the fingerprint recomputed so that only the
+// decode-time structure checks stand between the file and the predict
+// path. Loaded, that tree would spin forever on any row routed left at
+// the root; LoadEnsemble must refuse it instead.
+func TestLoadEnsembleRejectsCyclicTree(t *testing.T) {
+	train := confusableDataset(160, 12)
+	cfg := smallAutoML(12)
+	cfg.Families = []string{"tree"}
+	ens, err := Train(train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := saveBytes(t, ens, train)
+	bad := patchEnsembleSection(t, good, func(payload []byte) {
+		off := firstTreeLeftOffset(t, payload)
+		if binary.LittleEndian.Uint32(payload[off:]) < 3 {
+			t.Fatal("first tree is a lone leaf; nothing to make cyclic")
+		}
+		binary.LittleEndian.PutUint32(payload[off+4:], 0) // left[0] = 0
+	})
+	if _, err := loadNoPanic(good, train); err != nil {
+		t.Fatalf("unmodified file rejected: %v", err)
+	}
+	if _, err := loadNoPanic(bad, train); err == nil {
+		t.Fatal("a snapshot with a cyclic tree loaded without error")
+	} else {
+		t.Logf("rejected: %v", err)
+	}
+}
+
+// patchEnsembleSection applies patch to a copy of the ensemble section of
+// a snapshot file (magic, format, then length+CRC framed meta, train and
+// ensemble sections) and re-frames the file: fresh CRCs, and the meta
+// section's trailing fingerprint (FNV-1a over train then ensemble)
+// recomputed.
+func patchEnsembleSection(t *testing.T, blob []byte, patch func([]byte)) []byte {
+	t.Helper()
+	rest := blob[12:]
+	sections := make([][]byte, 3)
+	for i := range sections {
+		n := binary.LittleEndian.Uint32(rest)
+		sections[i] = append([]byte(nil), rest[8:8+n]...)
+		rest = rest[8+n:]
+	}
+	meta, train, ensemble := sections[0], sections[1], sections[2]
+	patch(ensemble)
+	h := fnv.New64a()
+	h.Write(train)
+	h.Write(ensemble)
+	binary.LittleEndian.PutUint64(meta[len(meta)-8:], h.Sum64())
+	out := append([]byte(nil), blob[:12]...)
+	for _, p := range [][]byte{meta, train, ensemble} {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
+		out = append(out, p...)
+	}
+	return out
+}
+
+// firstTreeLeftOffset walks an ensemble payload whose first member is a
+// tree and returns the offset of that tree's encoded left-child array
+// (a u32 length, then little-endian int32s).
+func firstTreeLeftOffset(t *testing.T, payload []byte) int {
+	t.Helper()
+	r := wire.NewReader(payload)
+	r.U32() // member count
+	r.I64() // family
+	for n := r.U32(); n > 0 && r.Err() == nil; n-- {
+		_ = r.String() // key
+		r.F64()
+	}
+	r.F64() // weight
+	r.F64() // holdout score
+	if tag := r.U8(); tag != 1 {
+		t.Fatalf("first member has model tag %d, want a tree", tag)
+	}
+	for i := 0; i < 4; i++ {
+		r.I64() // MaxDepth, MinSamplesLeaf, MinSamplesSplit, MaxFeatures
+	}
+	r.Bool() // RandomThresholds
+	for i := 0; i < 4; i++ {
+		r.I64() // Engine, HistWorkers, nClasses, nFeatures
+	}
+	r.I32s() // feature
+	r.F64s() // threshold
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return len(payload) - r.Remaining()
 }
