@@ -226,10 +226,7 @@ func (r *Rand) SampleInto(n, k int, buf []int) []int {
 	}
 	if k >= n {
 		out := buf[:n]
-		for i := range out {
-			out[i] = i
-		}
-		r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		r.PermInto(out)
 		return out
 	}
 	// Floyd's algorithm, with the membership test as a linear scan over
