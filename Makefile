@@ -18,7 +18,7 @@ test:
 # race re-runs everything under the race detector; the worker pool and
 # every parallelized hot path must stay clean here. It includes every
 # robustness, determinism and oracle suite (fault injection, serving
-# chaos, histogram engine, feedback durability, snapshot persistence,
+# chaos, training kernels, feedback durability, snapshot persistence,
 # interpretation cache).
 race:
 	$(GO) test -race ./...

@@ -58,10 +58,6 @@ type (
 	Ensemble = automl.Ensemble
 	// AutoMLConfig is the AutoML search budget and seed.
 	AutoMLConfig = automl.Config
-	// TrainEngine selects the tree-growing engine for tree-family
-	// candidates (EnginePresort or EngineHist); see
-	// AutoMLConfig.TrainEngine.
-	TrainEngine = ml.TrainEngine
 	// Feedback is a computed feedback result: per-feature disagreement
 	// curves, flagged regions, sampling, and explanations.
 	Feedback = core.Feedback
@@ -97,21 +93,6 @@ const (
 	// FreeEmpirical samples them from the training data's rows.
 	FreeEmpirical = core.FreeEmpirical
 )
-
-// Tree-family training engines for AutoMLConfig.TrainEngine.
-const (
-	// EnginePresort grows trees over presorted value runs (the exact
-	// default).
-	EnginePresort = ml.EnginePresort
-	// EngineHist grows trees over binned feature histograms with
-	// parent−sibling subtraction — faster on larger datasets, exact on
-	// low-cardinality columns and a close statistical match elsewhere.
-	EngineHist = ml.EngineHist
-)
-
-// ParseTrainEngine parses a -trainengine style flag value ("presort" or
-// "hist") into a TrainEngine.
-func ParseTrainEngine(s string) (TrainEngine, error) { return ml.ParseTrainEngine(s) }
 
 // RunLoop runs an iterative feedback campaign: up to LoopConfig.Rounds
 // cycles of train -> Within feedback -> sample -> oracle-label -> retrain,

@@ -30,7 +30,7 @@ import (
 )
 
 // version identifies the CLI build; bump alongside workflow changes.
-const version = "alefb 0.8.0"
+const version = "alefb 0.9.0"
 
 func main() {
 	var (
@@ -44,7 +44,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		candidates = flag.Int("budget", 24, "AutoML pipelines to evaluate")
 		workers    = flag.Int("workers", 0, "worker goroutines for AutoML search and ALE committees (0 = all cores, 1 = serial; results are identical either way)")
-		engine     = flag.String("trainengine", "presort", "tree-family training engine: presort (exact) or hist (histogram-binned split finding, faster on larger datasets)")
 		savePath   = flag.String("save", "", "save the trained ensemble and -train data to this snapshot file")
 		loadPath   = flag.String("load", "", "load a -save snapshot instead of searching (no refit; must match -train's classes and features)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (pprof) to this file")
@@ -81,11 +80,7 @@ func main() {
 	}
 	fmt.Printf("loaded %s:\n%s", *trainPath, train.Describe())
 
-	trainEngine, err := alefb.ParseTrainEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	autoCfg := alefb.AutoMLConfig{MaxCandidates: *candidates, Seed: *seed, Workers: *workers, TrainEngine: trainEngine}
+	autoCfg := alefb.AutoMLConfig{MaxCandidates: *candidates, Seed: *seed, Workers: *workers}
 	fbCfg := alefb.FeedbackConfig{Bins: *bins, Threshold: *threshold, Workers: *workers}
 
 	var fb *alefb.Feedback

@@ -26,12 +26,11 @@ import (
 	"strings"
 
 	"github.com/netml/alefb/internal/experiments"
-	"github.com/netml/alefb/internal/ml"
 )
 
 // version identifies the experiments-driver build; bump alongside
 // experiment or preset changes.
-const version = "alefb-experiments 0.7.0"
+const version = "alefb-experiments 0.8.0"
 
 func main() {
 	var (
@@ -44,7 +43,6 @@ func main() {
 		out     = flag.String("out", "", "directory for SVG figures and CSV dumps (optional)")
 		quiet   = flag.Bool("quiet", false, "suppress progress lines")
 		workers = flag.Int("workers", 0, "worker goroutines for trials, AutoML search and ALE committees (0 = all cores, 1 = serial; results are identical either way)")
-		engine  = flag.String("trainengine", "presort", "tree-family training engine for AutoML candidates: presort (exact) or hist (histogram-binned split finding, faster at paper scale)")
 		timeout = flag.Duration("timeout", 0, "hard wall-clock deadline for table1/ucl; on expiry the run aborts with context.DeadlineExceeded (0 = none)")
 		ckpt    = flag.String("checkpoint", "", "directory for per-trial snapshots of table1/ucl; a snapshot is written after every completed repetition/split")
 		resume  = flag.Bool("resume", false, "restore completed trials from -checkpoint instead of recomputing them (requires -checkpoint); the resumed result is bit-identical to an uninterrupted run")
@@ -99,12 +97,6 @@ func main() {
 	scream.AutoML.Workers = *workers
 	ucl.Workers = *workers
 	ucl.AutoML.Workers = *workers
-	trainEngine, err := ml.ParseTrainEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	scream.AutoML.TrainEngine = trainEngine
-	ucl.AutoML.TrainEngine = trainEngine
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fatal(fmt.Errorf("create output dir: %w", err))

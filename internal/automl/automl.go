@@ -93,14 +93,6 @@ type Config struct {
 	// rng stream keyed by the candidate's spec hash, never from a shared
 	// one.
 	Workers int
-	// TrainEngine selects the tree-growing engine for every tree-family
-	// candidate the search proposes (Tree, Forest, ExtraTrees, GBDT,
-	// AdaBoost): ml.EnginePresort (the zero default, unchanged behavior)
-	// or ml.EngineHist for histogram-binned split finding. The engine is
-	// recorded on each spec as the "hist" parameter, so it flows into
-	// specHash — the evaluation cache and the per-candidate rng streams
-	// never conflate engines — and into persisted snapshot specs.
-	TrainEngine ml.TrainEngine
 	// Families restricts the search space to the named model families
 	// (see FamilyNames; e.g. "gbdt", "knn"). This is the paper's
 	// domain-customization hook: a networking operator who knows which
@@ -595,13 +587,13 @@ func run(ctx context.Context, train *data.Dataset, cfg Config, cache *evalCache)
 	specs := make([]Spec, 0, randomBudget)
 	if cfg.PreScreen > 1 {
 		var err error
-		specs, err = preScreen(ctx, train, cfg.PreScreen*randomBudget, randomBudget, k, cfg.Workers, cfg.TrainEngine, allowed, r)
+		specs, err = preScreen(ctx, train, cfg.PreScreen*randomBudget, randomBudget, k, cfg.Workers, allowed, r)
 		if err != nil {
 			return nil, err
 		}
 	} else {
 		for i := 0; i < randomBudget; i++ {
-			specs = append(specs, applyEngine(randomSpecIn(r, allowed), cfg.TrainEngine))
+			specs = append(specs, randomSpecIn(r, allowed))
 		}
 	}
 	cands, err := evalBatch(specs, true)
@@ -629,9 +621,7 @@ func run(ctx context.Context, train *data.Dataset, cfg Config, cache *evalCache)
 		}
 		mutated := make([]Spec, 0, perGen)
 		for i := 0; i < perGen; i++ {
-			// Re-apply the engine after mutation: a structural mutation
-			// re-draws the family from scratch, losing the "hist" knob.
-			mutated = append(mutated, applyEngine(mutateIn(cands[r.Intn(parents)].spec, r, allowed), cfg.TrainEngine))
+			mutated = append(mutated, mutateIn(cands[r.Intn(parents)].spec, r, allowed))
 		}
 		more, err := evalBatch(mutated, false)
 		if err != nil {
@@ -733,7 +723,7 @@ func run(ctx context.Context, train *data.Dataset, cfg Config, cache *evalCache)
 // serially from r first and scored with its own index-derived rng. A
 // screening fit that fails or panics, or a NaN screening score, silently
 // disqualifies the spec — screening is best-effort by construction.
-func preScreen(ctx context.Context, train *data.Dataset, total, keep, k, workers int, engine ml.TrainEngine, allowed []family, r *rng.Rand) ([]Spec, error) {
+func preScreen(ctx context.Context, train *data.Dataset, total, keep, k, workers int, allowed []family, r *rng.Rand) ([]Spec, error) {
 	subN := 200
 	if subN > train.Len() {
 		subN = train.Len()
@@ -744,13 +734,13 @@ func preScreen(ctx context.Context, train *data.Dataset, total, keep, k, workers
 		// Too little data to screen meaningfully: fall back to random.
 		out := make([]Spec, keep)
 		for i := range out {
-			out[i] = applyEngine(randomSpecIn(r, allowed), engine)
+			out[i] = randomSpecIn(r, allowed)
 		}
 		return out, nil
 	}
 	specs := make([]Spec, total)
 	for i := range specs {
-		specs[i] = applyEngine(randomSpecIn(r, allowed), engine)
+		specs[i] = randomSpecIn(r, allowed)
 	}
 	screenSeed := r.Uint64()
 	screenCols := ml.NewSortedColumns(fitSet)

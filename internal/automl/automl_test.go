@@ -1,6 +1,7 @@
 package automl
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -218,6 +219,49 @@ func TestRandomSpecAndBuildAllFamilies(t *testing.T) {
 	}
 	if len(seen) < int(numFamilies) {
 		t.Fatalf("RandomSpec covered only %d/%d families", len(seen), numFamilies)
+	}
+}
+
+// TestBuildIgnoresHistParam checks that a persisted "hist": 1 parameter,
+// which tree-family specs carried when a histogram engine could train
+// them, no longer changes the model: Build of such a spec fits the same
+// bytes as Build of the spec without the key, so a warm start refits a
+// hist-era member with presort. The 300 continuous rows would bin lossily,
+// where a histogram fit would differ.
+func TestBuildIgnoresHistParam(t *testing.T) {
+	train := blobs(300, 3, rng.New(23))
+	seen := map[family]bool{}
+	r := rng.New(24)
+	for len(seen) < 5 {
+		s := RandomSpec(r)
+		switch s.Family {
+		case famTree, famForest, famExtraTrees, famGBDT, famAdaBoost:
+		default:
+			continue
+		}
+		seen[s.Family] = true
+		hist := s.clone()
+		hist.Params["hist"] = 1
+		for _, seed := range []uint64{3, 11, 77} {
+			want, got := Build(s), Build(hist)
+			if err := want.Fit(train, rng.New(seed)); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Fit(train, rng.New(seed)); err != nil {
+				t.Fatal(err)
+			}
+			wb, err := ml.AppendModel(nil, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := ml.AppendModel(nil, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wb, gb) {
+				t.Fatalf("%s seed %d: the hist parameter changed the fitted model", s, seed)
+			}
+		}
 	}
 }
 

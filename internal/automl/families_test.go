@@ -5,12 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/netml/alefb/internal/ml"
 	"github.com/netml/alefb/internal/rng"
 )
 
-// treeFamilies is the domain-customized zoo the histogram-engine
-// benchmark searches: every family the engine knob applies to.
+// treeFamilies is a domain-customized zoo: the five tree families.
 var treeFamilies = []string{"tree", "forest", "xtrees", "gbdt", "adaboost"}
 
 // TestFamiliesResolve pins name resolution: order-preserving, full list
@@ -84,7 +82,6 @@ func TestFamiliesSearchStaysInside(t *testing.T) {
 				cfg.Generations = 2
 				cfg.Families = treeFamilies
 				cfg.PreScreen = prescreen
-				cfg.TrainEngine = ml.EngineHist
 				ens, err := Run(train, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -92,9 +89,6 @@ func TestFamiliesSearchStaysInside(t *testing.T) {
 				for i, m := range ens.Members {
 					if !in[m.Spec.Family] {
 						t.Errorf("member %d escaped the restricted zoo: %v", i, m.Spec)
-					}
-					if engineOf(m.Spec) != ml.EngineHist {
-						t.Errorf("member %d lost the hist engine: %v", i, m.Spec)
 					}
 				}
 			})
@@ -115,14 +109,21 @@ func TestFamiliesUnknownRejected(t *testing.T) {
 
 // TestFamiliesWorkersEquivalence extends the determinism contract to
 // restricted searches: Workers=1 and Workers=8 must stay bit-identical
-// when the zoo is pruned, under both engines.
+// when the zoo is pruned, with and without pre-screening.
 func TestFamiliesWorkersEquivalence(t *testing.T) {
-	for _, engine := range []ml.TrainEngine{ml.EnginePresort, ml.EngineHist} {
-		t.Run(engine.String(), func(t *testing.T) {
+	variants := []struct {
+		name      string
+		prescreen int
+	}{
+		{"holdout", 0},
+		{"prescreen", 3},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
 			train := blobs(240, 3, rng.New(44))
 			cfg := smallCfg(12)
 			cfg.Families = treeFamilies
-			cfg.TrainEngine = engine
+			cfg.PreScreen = v.prescreen
 
 			cfg.Workers = 1
 			serial, err := Run(train, cfg)

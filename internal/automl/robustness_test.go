@@ -19,25 +19,27 @@ import (
 // bit-identical to a search where candidate i is silently skipped
 // (faultinject.Drop, the control arm), for any worker count. Every task
 // draws from its own index-derived rng stream, so losing one candidate
-// cannot perturb any other.
+// cannot perturb any other. A faulted candidate bypasses the evaluation
+// cache in both directions (fault keys are per index, not per spec), so
+// the drop is counted exactly once.
 func TestFaultedCandidateEqualsDrop(t *testing.T) {
 	const faultIdx = 3
 	train := blobs(240, 3, rng.New(21))
 	base := smallCfg(17)
 
-	run := func(kind faultinject.Kind, workers int) *Ensemble {
+	run := func(f *faultinject.Injector, workers int) *Ensemble {
 		t.Helper()
 		cfg := base
 		cfg.Workers = workers
-		cfg.Fault = faultinject.New().WithFit(faultIdx, kind)
+		cfg.Fault = f
 		ens, err := Run(train, cfg)
 		if err != nil {
-			t.Fatalf("kind=%v workers=%d: %v", kind, workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return ens
 	}
 
-	control := run(faultinject.Drop, 1)
+	control := run(faultinject.New().WithFit(faultIdx, faultinject.Drop), 1)
 	cases := []struct {
 		name  string
 		kind  faultinject.Kind
@@ -50,7 +52,7 @@ func TestFaultedCandidateEqualsDrop(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				ens := run(tc.kind, workers)
+				ens := run(faultinject.New().WithFit(faultIdx, tc.kind), workers)
 				if got := tc.count(ens.Dropped); got != 1 {
 					t.Errorf("workers=%d: drop count = %d, want 1 (all: %+v)", workers, got, ens.Dropped)
 				}
@@ -58,6 +60,20 @@ func TestFaultedCandidateEqualsDrop(t *testing.T) {
 			}
 		})
 	}
+
+	// An injected delay only slows the candidate; its evaluation still
+	// succeeds but is never written to the cache. The result must equal
+	// the fault-free search bit for bit at both worker counts.
+	t.Run("slow", func(t *testing.T) {
+		clean := run(nil, 1)
+		for _, workers := range []int{1, 8} {
+			slow := run(faultinject.New().WithSlowFit(faultIdx, 2*time.Millisecond), workers)
+			if slow.Dropped.Total() != clean.Dropped.Total() {
+				t.Errorf("workers=%d: slow candidate dropped: %+v", workers, slow.Dropped)
+			}
+			assertEnsemblesIdentical(t, clean, slow, train.X[:5])
+		}
+	})
 }
 
 // TestDropIsLoggedDeterministically checks that a dropped candidate is

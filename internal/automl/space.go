@@ -171,12 +171,6 @@ func mutateIn(s Spec, r *rng.Rand, allowed []family) Spec {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if k == "hist" {
-			// Engine selection, not a tunable: jittering it would corrupt
-			// the knob, and skipping before the coin flip keeps the
-			// mutation rng stream identical across engines.
-			continue
-		}
 		v := m.Params[k]
 		if !r.Bool(0.5) {
 			continue
@@ -204,32 +198,6 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
-// applyEngine marks a tree-family spec to train with the given engine by
-// setting the "hist" parameter, making the engine part of the spec itself:
-// it enters specHash (so the evaluation cache and the candidate rng
-// streams distinguish engines), the persisted snapshot spec, and Build.
-// The knob consumes no rng, non-tree families are returned unchanged, and
-// the presort default leaves the spec untouched so existing hashes and
-// persisted specs are unaffected.
-func applyEngine(s Spec, e ml.TrainEngine) Spec {
-	if e != ml.EngineHist {
-		return s
-	}
-	switch s.Family {
-	case famTree, famForest, famExtraTrees, famGBDT, famAdaBoost:
-		s.Params["hist"] = 1
-	}
-	return s
-}
-
-// engineOf reads the spec's training engine back out of its parameters.
-func engineOf(s Spec) ml.TrainEngine {
-	if pInt(s, "hist", 0) == 1 {
-		return ml.EngineHist
-	}
-	return ml.EnginePresort
-}
-
 func pInt(s Spec, key string, def int) int {
 	if v, ok := s.Params[key]; ok {
 		return int(math.Round(v))
@@ -244,14 +212,16 @@ func pFloat(s Spec, key string, def float64) float64 {
 	return def
 }
 
-// Build instantiates a fresh untrained pipeline from the spec.
+// Build instantiates a fresh untrained pipeline from the spec. It reads
+// only the parameters the family defines, so the "hist": 1 marker that
+// snapshots written with the removed histogram engine carry is ignored:
+// refitting such a member trains it with presort.
 func Build(s Spec) ml.Classifier {
 	switch s.Family {
 	case famTree:
 		return ml.NewTree(ml.TreeConfig{
 			MaxDepth:       pInt(s, "depth", 8),
 			MinSamplesLeaf: pInt(s, "leaf", 1),
-			Engine:         engineOf(s),
 		})
 	case famForest:
 		return ml.NewForest(ml.ForestConfig{
@@ -259,7 +229,6 @@ func Build(s Spec) ml.Classifier {
 			MaxDepth:       pInt(s, "depth", 8),
 			MinSamplesLeaf: pInt(s, "leaf", 1),
 			Bootstrap:      true,
-			Engine:         engineOf(s),
 		})
 	case famExtraTrees:
 		return ml.NewForest(ml.ForestConfig{
@@ -267,14 +236,12 @@ func Build(s Spec) ml.Classifier {
 			MaxDepth:       pInt(s, "depth", 8),
 			MinSamplesLeaf: pInt(s, "leaf", 1),
 			ExtraTrees:     true,
-			Engine:         engineOf(s),
 		})
 	case famGBDT:
 		return ml.NewGBDT(ml.GBDTConfig{
 			NumRounds:    pInt(s, "rounds", 30),
 			LearningRate: pFloat(s, "lr", 0.1),
 			MaxDepth:     pInt(s, "depth", 3),
-			Engine:       engineOf(s),
 		})
 	case famKNN:
 		return &ml.Pipeline{
@@ -316,7 +283,6 @@ func Build(s Spec) ml.Classifier {
 		return ml.NewAdaBoost(ml.AdaBoostConfig{
 			Rounds:   pInt(s, "rounds", 30),
 			MaxDepth: pInt(s, "depth", 2),
-			Engine:   engineOf(s),
 		})
 	default:
 		panic(fmt.Sprintf("automl: unknown family %d", s.Family))

@@ -200,15 +200,17 @@ func WarmStartCtx(ctx context.Context, ens *automl.Ensemble, oldTrain, newTrain 
 		return nil, rep, nil
 	}
 
-	// Refit the shifted members from their specs. The ensemble value is
-	// copied so the caller's (possibly still-serving) ensemble is never
-	// mutated; unshifted members keep their fitted models.
+	// Refit the shifted members from their specs, all growing their trees
+	// from one sort of newTrain's columns. The ensemble value is copied so
+	// the caller's (possibly still-serving) ensemble is never mutated;
+	// unshifted members keep their fitted models.
 	next := *ens
 	next.Members = append([]automl.Member(nil), ens.Members...)
+	cols := ml.NewSortedColumns(newTrain)
 	err = parallel.ForEachCtx(ctx, len(rep.Shifted), cfg.Workers, func(k int) error {
 		i := rep.Shifted[k]
 		m := automl.Build(next.Members[i].Spec)
-		if err := m.Fit(newTrain, rng.Derive(cfg.RefitSeed, uint64(i))); err != nil {
+		if err := ml.FitSorted(m, newTrain, cols, rng.Derive(cfg.RefitSeed, uint64(i))); err != nil {
 			return fmt.Errorf("core: warm-start refit member %d (%s): %w", i, next.Members[i].Spec.String(), err)
 		}
 		next.Members[i].Model = m

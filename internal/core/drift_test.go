@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"github.com/netml/alefb/internal/automl"
 	"github.com/netml/alefb/internal/data"
+	"github.com/netml/alefb/internal/ml"
 	"github.com/netml/alefb/internal/rng"
 )
 
@@ -190,6 +192,57 @@ func TestWarmStartRefitDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("warm start mutated the input ensemble at %v: %v vs %v", x, p0, p1)
 			}
 		}
+	}
+}
+
+// TestWarmStartRefitMatchesBuildFit is the oracle for the shared column
+// sort of the warm-start refit: every refitted member must encode to the
+// same bytes as its spec built and fitted alone on newTrain with its
+// index-keyed seed, the refit the warm start ran before the sort was
+// shared.
+func TestWarmStartRefitMatchesBuildFit(t *testing.T) {
+	trees := 0
+	for _, seed := range []uint64{3, 5, 11} {
+		train, ens := warmStartProblem(t, 120, seed)
+		newTrain := shiftedTrain(train, 60, seed+90)
+		cfg := WarmStartConfig{
+			Feedback:         Config{Bins: 8},
+			ShiftTolerance:   1e-12, // everything counts as shifted
+			MaxRefitFraction: 1.0,   // never fall back
+			RefitSeed:        7,
+			Workers:          2,
+		}
+		got, rep, err := WarmStartCtx(context.Background(), ens, train, newTrain, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Shifted) != len(ens.Members) {
+			t.Fatalf("seed %d: %d of %d members shifted, want all", seed, len(rep.Shifted), len(ens.Members))
+		}
+		for i, m := range got.Members {
+			want := automl.Build(m.Spec)
+			if err := want.Fit(newTrain, rng.Derive(cfg.RefitSeed, uint64(i))); err != nil {
+				t.Fatal(err)
+			}
+			wb, err := ml.AppendModel(nil, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := ml.AppendModel(nil, m.Model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb, wb) {
+				t.Errorf("seed %d member %d (%s): refit differs from Build(spec).Fit", seed, i, m.Spec)
+			}
+			switch m.Model.(type) {
+			case *ml.Tree, *ml.Forest, *ml.GBDT, *ml.AdaBoost:
+				trees++
+			}
+		}
+	}
+	if trees == 0 {
+		t.Fatal("no tree-family member was refitted; the shared sort went unchecked")
 	}
 }
 

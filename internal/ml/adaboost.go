@@ -18,11 +18,6 @@ type AdaBoostConfig struct {
 	MaxDepth int
 	// LearningRate shrinks each round's vote (default 1.0).
 	LearningRate float64
-	// Engine selects the training engine (presort or histogram-binned)
-	// for every weak learner; see TreeConfig.Engine.
-	Engine TrainEngine
-	// HistWorkers caps the hist engine's feature-parallel scans.
-	HistWorkers int
 }
 
 func (c AdaBoostConfig) withDefaults() AdaBoostConfig {
@@ -85,7 +80,7 @@ func (a *AdaBoost) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand)
 	// are never re-sorted; the sampler, the draw, the resampled dataset
 	// and the predictions each keep one backing for the whole fit.
 	scratch := newSplitScratch(k)
-	scratch.useColumns(cols, cfg.Engine, k, cfg.HistWorkers)
+	scratch.ps.attach(cols.sorted())
 	idx := make([]int, n)
 	pred := make([]int, n)
 	var sampler rng.Cumulative
@@ -100,10 +95,8 @@ func (a *AdaBoost) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand)
 		tree := NewTree(TreeConfig{
 			MaxDepth:       cfg.MaxDepth,
 			MinSamplesLeaf: 1,
-			Engine:         cfg.Engine,
-			HistWorkers:    cfg.HistWorkers,
 		})
-		scratch.viewSubset(idx)
+		scratch.ps.prepareSubset(idx)
 		if err := tree.fit(d.SubsetInto(idx, &sample), r, scratch); err != nil {
 			return fmt.Errorf("ml: adaboost round %d: %w", round, err)
 		}
@@ -145,8 +138,8 @@ func (a *AdaBoost) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand)
 	}
 	if len(a.trees) == 0 {
 		// Degenerate data (e.g. one class): fall back to a single tree.
-		tree := NewTree(TreeConfig{MaxDepth: cfg.MaxDepth, Engine: cfg.Engine, HistWorkers: cfg.HistWorkers})
-		scratch.viewFull()
+		tree := NewTree(TreeConfig{MaxDepth: cfg.MaxDepth})
+		scratch.ps.prepareFull()
 		if err := tree.fit(d, r, scratch); err != nil {
 			return err
 		}

@@ -70,8 +70,7 @@ func AppendModel(buf []byte, c Classifier) ([]byte, error) {
 		buf = wire.AppendI64(buf, int64(m.Config.MaxFeatures))
 		buf = wire.AppendBool(buf, m.Config.Bootstrap)
 		buf = wire.AppendBool(buf, m.Config.ExtraTrees)
-		buf = wire.AppendI64(buf, int64(m.Config.Engine))
-		buf = wire.AppendI64(buf, int64(m.Config.HistWorkers))
+		buf = appendReserved(buf)
 		buf = wire.AppendI64(buf, int64(m.nClasses))
 		buf = wire.AppendU32(buf, uint32(len(m.trees)))
 		for _, t := range m.trees {
@@ -85,8 +84,7 @@ func AppendModel(buf []byte, c Classifier) ([]byte, error) {
 		buf = wire.AppendI64(buf, int64(m.Config.MaxDepth))
 		buf = wire.AppendI64(buf, int64(m.Config.MinSamplesLeaf))
 		buf = wire.AppendF64(buf, m.Config.Subsample)
-		buf = wire.AppendI64(buf, int64(m.Config.Engine))
-		buf = wire.AppendI64(buf, int64(m.Config.HistWorkers))
+		buf = appendReserved(buf)
 		buf = wire.AppendI64(buf, int64(m.nClasses))
 		buf = wire.AppendF64s(buf, m.base)
 		buf = wire.AppendU32(buf, uint32(len(m.rounds)))
@@ -102,8 +100,7 @@ func AppendModel(buf []byte, c Classifier) ([]byte, error) {
 		buf = wire.AppendI64(buf, int64(m.Config.Rounds))
 		buf = wire.AppendI64(buf, int64(m.Config.MaxDepth))
 		buf = wire.AppendF64(buf, m.Config.LearningRate)
-		buf = wire.AppendI64(buf, int64(m.Config.Engine))
-		buf = wire.AppendI64(buf, int64(m.Config.HistWorkers))
+		buf = appendReserved(buf)
 		buf = wire.AppendI64(buf, int64(m.classes))
 		buf = wire.AppendF64s(buf, m.alphas)
 		buf = wire.AppendU32(buf, uint32(len(m.trees)))
@@ -188,8 +185,7 @@ func DecodeModel(r *wire.Reader) (Classifier, error) {
 		m.Config.MaxFeatures = int(r.I64())
 		m.Config.Bootstrap = r.Bool()
 		m.Config.ExtraTrees = r.Bool()
-		m.Config.Engine = TrainEngine(r.I64())
-		m.Config.HistWorkers = int(r.I64())
+		skipReserved(r)
 		m.nClasses = int(r.I64())
 		if n := int(r.U32()); n > 0 && r.Err() == nil {
 			m.trees = make([]*Tree, n)
@@ -205,8 +201,7 @@ func DecodeModel(r *wire.Reader) (Classifier, error) {
 		m.Config.MaxDepth = int(r.I64())
 		m.Config.MinSamplesLeaf = int(r.I64())
 		m.Config.Subsample = r.F64()
-		m.Config.Engine = TrainEngine(r.I64())
-		m.Config.HistWorkers = int(r.I64())
+		skipReserved(r)
 		m.nClasses = int(r.I64())
 		m.base = r.F64s()
 		if n := int(r.U32()); n > 0 && r.Err() == nil {
@@ -228,8 +223,7 @@ func DecodeModel(r *wire.Reader) (Classifier, error) {
 		m.Config.Rounds = int(r.I64())
 		m.Config.MaxDepth = int(r.I64())
 		m.Config.LearningRate = r.F64()
-		m.Config.Engine = TrainEngine(r.I64())
-		m.Config.HistWorkers = int(r.I64())
+		skipReserved(r)
 		m.classes = int(r.I64())
 		m.alphas = r.F64s()
 		if n := int(r.U32()); n > 0 && r.Err() == nil {
@@ -399,6 +393,61 @@ func checkModel(c Classifier) error {
 	return nil
 }
 
+// CheckInputWidth reports whether a decoded model can predict rows of
+// nFeatures features. DecodeModel alone cannot tell: a GBDT regression
+// tree records no feature count, and a model's own width only has to
+// agree with itself. So the caller that knows the rows — a snapshot
+// carries its training schema — checks that every tree split reads a
+// feature below nFeatures and that every model or scaler recording its
+// input width records exactly nFeatures.
+func CheckInputWidth(c Classifier, nFeatures int) error {
+	switch m := c.(type) {
+	case *Tree:
+		return checkSplitFeatures(m.flat.feature, nFeatures)
+	case *Forest:
+		for i, t := range m.trees {
+			if err := checkSplitFeatures(t.flat.feature, nFeatures); err != nil {
+				return fmt.Errorf("forest tree %d: %w", i, err)
+			}
+		}
+	case *AdaBoost:
+		for i, t := range m.trees {
+			if err := checkSplitFeatures(t.flat.feature, nFeatures); err != nil {
+				return fmt.Errorf("adaboost tree %d: %w", i, err)
+			}
+		}
+	case *GBDT:
+		for i, round := range m.rounds {
+			for j, t := range round {
+				if err := checkSplitFeatures(t.flat.feature, nFeatures); err != nil {
+					return fmt.Errorf("gbdt round %d tree %d: %w", i, j, err)
+				}
+			}
+		}
+	case *Pipeline:
+		if w := scalerWidth(m.Scaler); w > 0 && w != nFeatures {
+			return fmt.Errorf("pipeline scaler covers %d features, rows have %d", w, nFeatures)
+		}
+		return CheckInputWidth(m.Model, nFeatures)
+	default:
+		if w := inputWidth(c); w >= 0 && w != nFeatures {
+			return fmt.Errorf("%s reads %d features, rows have %d", c.Name(), w, nFeatures)
+		}
+	}
+	return nil
+}
+
+// checkSplitFeatures checks that every split of a flat tree reads one of
+// nFeatures features (leaves carry a negative feature).
+func checkSplitFeatures(feature []int32, nFeatures int) error {
+	for i, ft := range feature {
+		if int(ft) >= nFeatures {
+			return fmt.Errorf("node %d splits on feature %d of %d", i, ft, nFeatures)
+		}
+	}
+	return nil
+}
+
 // checkTree validates a decoded classification tree of an ensemble with
 // k classes: its payload width must be k, and its arrays walkable.
 func checkTree(t *Tree, k int) error {
@@ -498,6 +547,22 @@ func inputWidth(c Classifier) int {
 	return -1
 }
 
+// appendReserved writes the two reserved int64 slots of every
+// tree-family record. Snapshots written before presort became the only
+// training engine stored the engine and its histogram worker cap there;
+// neither affects prediction, so they are written as zero (what every
+// presort model always stored) and skipped on decode, and snapshots with
+// histogram-trained members still load and predict bit-identically.
+func appendReserved(buf []byte) []byte {
+	return wire.AppendI64(wire.AppendI64(buf, 0), 0)
+}
+
+// skipReserved reads past the slots appendReserved writes.
+func skipReserved(r *wire.Reader) {
+	r.I64()
+	r.I64()
+}
+
 // appendTree encodes one fitted classification tree (config, shape
 // metadata and the flat SoA arrays the predict path reads).
 func appendTree(buf []byte, t *Tree) []byte {
@@ -506,8 +571,7 @@ func appendTree(buf []byte, t *Tree) []byte {
 	buf = wire.AppendI64(buf, int64(t.Config.MinSamplesSplit))
 	buf = wire.AppendI64(buf, int64(t.Config.MaxFeatures))
 	buf = wire.AppendBool(buf, t.Config.RandomThresholds)
-	buf = wire.AppendI64(buf, int64(t.Config.Engine))
-	buf = wire.AppendI64(buf, int64(t.Config.HistWorkers))
+	buf = appendReserved(buf)
 	buf = wire.AppendI64(buf, int64(t.nClasses))
 	buf = wire.AppendI64(buf, int64(t.nFeatures))
 	return appendFlatTree(buf, &t.flat)
@@ -520,8 +584,7 @@ func decodeTree(r *wire.Reader) *Tree {
 	t.Config.MinSamplesSplit = int(r.I64())
 	t.Config.MaxFeatures = int(r.I64())
 	t.Config.RandomThresholds = r.Bool()
-	t.Config.Engine = TrainEngine(r.I64())
-	t.Config.HistWorkers = int(r.I64())
+	skipReserved(r)
 	t.nClasses = int(r.I64())
 	t.nFeatures = int(r.I64())
 	t.flat = decodeFlatTree(r)
@@ -555,8 +618,7 @@ func decodeFlatTree(r *wire.Reader) flatTree {
 func appendRegTree(buf []byte, t *regTree) []byte {
 	buf = wire.AppendI64(buf, int64(t.maxDepth))
 	buf = wire.AppendI64(buf, int64(t.minSamplesLeaf))
-	buf = wire.AppendI64(buf, int64(t.engine))
-	buf = wire.AppendI64(buf, int64(t.histWorkers))
+	buf = appendReserved(buf)
 	buf = wire.AppendI32s(buf, t.flat.feature)
 	buf = wire.AppendF64s(buf, t.flat.threshold)
 	buf = wire.AppendI32s(buf, t.flat.left)
@@ -567,9 +629,8 @@ func decodeRegTree(r *wire.Reader) *regTree {
 	t := &regTree{
 		maxDepth:       int(r.I64()),
 		minSamplesLeaf: int(r.I64()),
-		engine:         TrainEngine(r.I64()),
-		histWorkers:    int(r.I64()),
 	}
+	skipReserved(r)
 	t.flat.feature = r.I32s()
 	t.flat.threshold = r.F64s()
 	t.flat.left = r.I32s()

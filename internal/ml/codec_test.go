@@ -10,15 +10,13 @@ import (
 )
 
 // codecModels is the round-trip zoo: every family the codec supports,
-// with both engines for the tree models and both scalers for pipelines.
+// with both scalers for pipelines.
 func codecModels() []Classifier {
 	return []Classifier{
 		NewTree(TreeConfig{MaxDepth: 6}),
-		NewTree(TreeConfig{MaxDepth: 6, Engine: EngineHist}),
 		NewRandomForest(8, 6),
 		NewExtraTrees(8, 6),
 		NewGBDT(GBDTConfig{NumRounds: 8}),
-		NewGBDT(GBDTConfig{NumRounds: 8, Engine: EngineHist}),
 		NewAdaBoost(AdaBoostConfig{Rounds: 6}),
 		NewKNN(KNNConfig{K: 5, DistanceWeighted: true}),
 		NewGaussianNB(),

@@ -291,11 +291,8 @@ func (f *flatRegTree) predict(x []float64) float64 {
 type splitScratch struct {
 	leftCounts  []float64
 	rightCounts []float64
-	nodeCounts  []float64 // per-node class totals (hist engine, bestSplitHist)
-	feats       []int     // per-node candidate-feature draw (rng.SampleInto)
+	feats       []int // per-node candidate-feature draw (rng.SampleInto)
 	ps          presorted
-	hist        histogram   // bin maps + node-histogram arenas (hist.go)
-	engine      TrainEngine // the engine useColumns prepared for
 
 	// Chunked arenas for the pointer nodes and leaf payloads the build
 	// step produces: each chunk is handed out slot by slot and replaced —
@@ -308,12 +305,11 @@ type splitScratch struct {
 }
 
 // newSplitScratch returns a scratch for k classes; the presorted buffers
-// size themselves when useColumns attaches the training matrix.
+// size themselves when ps.attach attaches the training matrix.
 func newSplitScratch(k int) *splitScratch {
 	return &splitScratch{
 		leftCounts:  make([]float64, k),
 		rightCounts: make([]float64, k),
-		nodeCounts:  make([]float64, k),
 	}
 }
 

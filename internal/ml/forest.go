@@ -23,11 +23,6 @@ type ForestConfig struct {
 	Bootstrap bool
 	// ExtraTrees draws random thresholds instead of exhaustive scans.
 	ExtraTrees bool
-	// Engine selects the training engine (presort or histogram-binned)
-	// for every tree; see TreeConfig.Engine.
-	Engine TrainEngine
-	// HistWorkers caps the hist engine's feature-parallel scans.
-	HistWorkers int
 }
 
 func (c ForestConfig) withDefaults() ForestConfig {
@@ -94,7 +89,7 @@ func (f *Forest) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) e
 	// their resample, extra-trees restore the full view by copy. The
 	// bootstrap draw and its resampled dataset reuse one backing each.
 	scratch := newSplitScratch(f.nClasses)
-	scratch.useColumns(cols, cfg.Engine, f.nClasses, cfg.HistWorkers)
+	scratch.ps.attach(cols.sorted())
 	var idx []int
 	var sample data.Dataset
 	if cfg.Bootstrap {
@@ -106,8 +101,6 @@ func (f *Forest) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) e
 			MinSamplesLeaf:   cfg.MinSamplesLeaf,
 			MaxFeatures:      maxFeatures,
 			RandomThresholds: cfg.ExtraTrees,
-			Engine:           cfg.Engine,
-			HistWorkers:      cfg.HistWorkers,
 		})
 		train := d
 		if cfg.Bootstrap {
@@ -115,9 +108,9 @@ func (f *Forest) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) e
 				idx[i] = r.Intn(d.Len())
 			}
 			train = d.SubsetInto(idx, &sample)
-			scratch.viewSubset(idx)
+			scratch.ps.prepareSubset(idx)
 		} else {
-			scratch.viewFull()
+			scratch.ps.prepareFull()
 		}
 		if err := tree.fit(train, r, scratch); err != nil {
 			return fmt.Errorf("ml: forest tree %d: %w", t, err)

@@ -20,11 +20,6 @@ type GBDTConfig struct {
 	MinSamplesLeaf int
 	// Subsample is the row fraction per round, (0,1]; default 1.
 	Subsample float64
-	// Engine selects the training engine (presort or histogram-binned)
-	// for every regression tree; see TreeConfig.Engine.
-	Engine TrainEngine
-	// HistWorkers caps the hist engine's feature-parallel scans.
-	HistWorkers int
 }
 
 func (c GBDTConfig) withDefaults() GBDTConfig {
@@ -98,7 +93,7 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 	// across every round and class: full-row rounds restore the presorted
 	// view by copy, subsampled rounds project it through the row draw.
 	scratch := newSplitScratch(g.nClasses)
-	scratch.useColumns(cols, cfg.Engine, 3, cfg.HistWorkers)
+	scratch.ps.attach(cols.sorted())
 	subsampled := cfg.Subsample < 1
 	var subY []float64
 	if subsampled {
@@ -117,8 +112,6 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 			t := &regTree{
 				maxDepth:       cfg.MaxDepth,
 				minSamplesLeaf: cfg.MinSamplesLeaf,
-				engine:         cfg.Engine,
-				histWorkers:    cfg.HistWorkers,
 			}
 			if subsampled {
 				// Residual = one-hot(y) - softmax(scores) for class k,
@@ -132,7 +125,7 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 					}
 					subY[si] = target - proba[k]
 				}
-				scratch.viewSubset(rowIdx)
+				scratch.ps.prepareSubset(rowIdx)
 				t.fit(subY[:len(rowIdx)], scratch)
 			} else {
 				for i := 0; i < n; i++ {
@@ -143,7 +136,7 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 					}
 					residual[i] = target - proba[k]
 				}
-				scratch.viewFull()
+				scratch.ps.prepareFull()
 				t.fit(residual, scratch)
 			}
 			trees[k] = t

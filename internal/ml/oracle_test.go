@@ -40,16 +40,7 @@ func (ps *presorted) sortMaster(X [][]float64, nf int) {
 		}
 		sort.Sort(&featSorter{ord: o, val: v})
 	}
-	ps.attach(&SortedColumns{rows: n0, nf: nf, ord: ord, val: val}, false)
-}
-
-// presortMaster is sortMaster plus the presort engine's working copies.
-func (ps *presorted) presortMaster(X [][]float64, nf int) {
-	ps.sortMaster(X, nf)
-	if need := ps.masterRows * nf; cap(ps.ord) < need {
-		ps.ord = make([]int32, need)
-		ps.val = make([]float64, need)
-	}
+	ps.attach(&SortedColumns{rows: n0, nf: nf, ord: ord, val: val})
 }
 
 // oracleAdaBoostFit is AdaBoost.Fit's round loop before the reused
@@ -69,12 +60,7 @@ func oracleAdaBoostFit(a *AdaBoost, d *data.Dataset, r *rng.Rand) (skipped int, 
 		weights[i] = 1 / float64(n)
 	}
 	scratch := newSplitScratch(k)
-	if cfg.Engine == EngineHist {
-		scratch.ps.sortMaster(d.X, d.Schema.NumFeatures())
-		scratch.hist.initHist(&scratch.ps, k, cfg.HistWorkers)
-	} else {
-		scratch.ps.presortMaster(d.X, d.Schema.NumFeatures())
-	}
+	scratch.ps.sortMaster(d.X, d.Schema.NumFeatures())
 	idx := make([]int, n)
 	for round := 0; round < cfg.Rounds; round++ {
 		sampler := rng.NewCumulative(weights)
@@ -85,14 +71,8 @@ func oracleAdaBoostFit(a *AdaBoost, d *data.Dataset, r *rng.Rand) (skipped int, 
 		tree := NewTree(TreeConfig{
 			MaxDepth:       cfg.MaxDepth,
 			MinSamplesLeaf: 1,
-			Engine:         cfg.Engine,
-			HistWorkers:    cfg.HistWorkers,
 		})
-		if cfg.Engine == EngineHist {
-			scratch.hist.prepareSubset(&scratch.ps, idx)
-		} else {
-			scratch.ps.prepareSubset(idx)
-		}
+		scratch.ps.prepareSubset(idx)
 		if err := tree.fit(sample, r, scratch); err != nil {
 			return skipped, fmt.Errorf("ml: adaboost round %d: %w", round, err)
 		}
@@ -128,12 +108,8 @@ func oracleAdaBoostFit(a *AdaBoost, d *data.Dataset, r *rng.Rand) (skipped int, 
 		}
 	}
 	if len(a.trees) == 0 {
-		tree := NewTree(TreeConfig{MaxDepth: cfg.MaxDepth, Engine: cfg.Engine, HistWorkers: cfg.HistWorkers})
-		if cfg.Engine == EngineHist {
-			scratch.hist.prepareFull(&scratch.ps)
-		} else {
-			scratch.ps.prepareFull()
-		}
+		tree := NewTree(TreeConfig{MaxDepth: cfg.MaxDepth})
+		scratch.ps.prepareFull()
 		if err := tree.fit(d, r, scratch); err != nil {
 			return skipped, err
 		}
@@ -267,8 +243,8 @@ func TestSortedColumnsMatchPerFitPresort(t *testing.T) {
 }
 
 // TestAdaBoostFitMatchesOracle compares the allocation-free round loop
-// with the oracle, on both engines, including label-noise fits where the
-// worse-than-chance rule skips rounds.
+// with the oracle, including label-noise fits where the worse-than-chance
+// rule skips rounds.
 func TestAdaBoostFitMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -276,7 +252,6 @@ func TestAdaBoostFitMatchesOracle(t *testing.T) {
 		data func(r *rng.Rand) *data.Dataset
 	}{
 		{"blobs", AdaBoostConfig{Rounds: 20, MaxDepth: 2}, func(r *rng.Rand) *data.Dataset { return fitBlobs(300, 6, 3, r) }},
-		{"blobs-hist", AdaBoostConfig{Rounds: 20, MaxDepth: 2, Engine: EngineHist}, func(r *rng.Rand) *data.Dataset { return fitBlobs(300, 6, 3, r) }},
 		{"noise", AdaBoostConfig{Rounds: 40, MaxDepth: 1}, func(r *rng.Rand) *data.Dataset { return noisyBinary(200, 4, r) }},
 	}
 	for _, c := range cases {
@@ -327,23 +302,21 @@ func TestMLPFitMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFitSortedSharedColumns fits every tree family, on both engines,
-// from one shared SortedColumns — concurrently, so the race detector sees
-// the lazy sort and the shared reads — and requires each model to equal
+// TestFitSortedSharedColumns fits every tree family from one shared
+// SortedColumns — concurrently, so the race detector sees the lazy sort
+// and the shared reads — and requires each model to equal
 // its own Fit byte for byte and the shared columns to stay unchanged.
 // Columns of another dataset, and non-tree models, fall back to Fit.
 func TestFitSortedSharedColumns(t *testing.T) {
 	models := func() []Classifier {
 		return []Classifier{
 			NewTree(TreeConfig{MaxDepth: 6}),
-			NewTree(TreeConfig{MaxDepth: 6, Engine: EngineHist}),
 			NewRandomForest(6, 5),
 			NewExtraTrees(6, 5),
-			NewForest(ForestConfig{NumTrees: 4, MaxDepth: 4, Bootstrap: true, Engine: EngineHist}),
+			NewForest(ForestConfig{NumTrees: 4, MaxDepth: 4, Bootstrap: true}),
 			NewGBDT(GBDTConfig{NumRounds: 5}),
-			NewGBDT(GBDTConfig{NumRounds: 5, Subsample: 0.7, Engine: EngineHist}),
+			NewGBDT(GBDTConfig{NumRounds: 5, Subsample: 0.7}),
 			NewAdaBoost(AdaBoostConfig{Rounds: 8}),
-			NewAdaBoost(AdaBoostConfig{Rounds: 8, Engine: EngineHist}),
 			&Pipeline{Scaler: &StandardScaler{}, Model: NewMLP(MLPConfig{Epochs: 5})},
 		}
 	}

@@ -178,11 +178,9 @@ func (p *featSorter) Swap(i, j int) {
 }
 
 // attach makes the sorted columns the master orderings of this scratch —
-// shared and read-only — and sizes the per-fit state over them. working
-// also sizes the presort engine's partitioned working copies; the
-// histogram engine (hist.go) reads the master columns to place its bin
-// cut points but never partitions value orderings, so it skips them.
-func (ps *presorted) attach(cols *SortedColumns, working bool) {
+// shared and read-only — and sizes the per-fit working copies over them.
+// Each tree then selects its rows with prepareFull or prepareSubset.
+func (ps *presorted) attach(cols *SortedColumns) {
 	n0, nf := cols.rows, cols.nf
 	ps.masterRows, ps.nf = n0, nf
 	ps.masterOrd, ps.masterVal = cols.ord, cols.val
@@ -197,40 +195,9 @@ func (ps *presorted) attach(cols *SortedColumns, working bool) {
 	if cap(ps.bucketStart) < n0+1 {
 		ps.bucketStart = make([]int32, n0+1)
 	}
-	if need := n0 * nf; working && cap(ps.ord) < need {
+	if need := n0 * nf; cap(ps.ord) < need {
 		ps.ord = make([]int32, need)
 		ps.val = make([]float64, need)
-	}
-}
-
-// useColumns attaches cols as the master of every tree this scratch grows
-// and prepares the engine's per-fit state: the working orderings of the
-// presort engine, or the bin maps of the histogram engine with width
-// float64 slots per bin (see histogram.width).
-func (s *splitScratch) useColumns(cols *SortedColumns, engine TrainEngine, width, histWorkers int) {
-	s.engine = engine
-	s.ps.attach(cols.sorted(), engine != EngineHist)
-	if engine == EngineHist {
-		s.hist.initHist(&s.ps, width, histWorkers)
-	}
-}
-
-// viewFull selects every master row as the next tree's working view.
-func (s *splitScratch) viewFull() {
-	if s.engine == EngineHist {
-		s.hist.prepareFull(&s.ps)
-	} else {
-		s.ps.prepareFull()
-	}
-}
-
-// viewSubset selects the rows idx (a multiset of master rows; working row
-// j stands for master row idx[j]) as the next tree's working view.
-func (s *splitScratch) viewSubset(idx []int) {
-	if s.engine == EngineHist {
-		s.hist.prepareSubset(&s.ps, idx)
-	} else {
-		s.ps.prepareSubset(idx)
 	}
 }
 

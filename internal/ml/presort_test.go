@@ -584,7 +584,7 @@ func TestAdaBoostFitMatchesLegacy(t *testing.T) {
 func TestPrepareSubsetProjection(t *testing.T) {
 	d := fitBlobs(60, 4, 3, rng.New(5))
 	var ps presorted
-	ps.presortMaster(d.X, 4)
+	ps.sortMaster(d.X, 4)
 	r := rng.New(9)
 	idx := make([]int, 45)
 	for i := range idx {
@@ -667,7 +667,7 @@ func FuzzBestSplitMatchesLegacy(f *testing.F) {
 			tree := NewTree(cfg)
 			tree.nClasses, tree.nFeatures = 3, nf
 			s := newSplitScratch(3)
-			s.ps.presortMaster(d.X, nf)
+			s.ps.sortMaster(d.X, nf)
 			s.ps.prepareFull()
 			feat, thr, ok := tree.bestSplit(d, 0, d.Len(), rng.New(77), s)
 
@@ -715,7 +715,7 @@ func FuzzRegTreeMatchesLegacy(f *testing.F) {
 			p++
 		}
 		s := newSplitScratch(1)
-		s.ps.presortMaster(X, nf)
+		s.ps.sortMaster(X, nf)
 		s.ps.prepareFull()
 		tr := &regTree{maxDepth: 3, minSamplesLeaf: 1}
 		tr.fit(y, s)
@@ -731,7 +731,7 @@ func TestBestSplitZeroAllocs(t *testing.T) {
 	tree := NewTree(TreeConfig{MaxFeatures: 3})
 	tree.nClasses, tree.nFeatures = 3, 8
 	s := newSplitScratch(3)
-	s.ps.presortMaster(d.X, 8)
+	s.ps.sortMaster(d.X, 8)
 	s.ps.prepareFull()
 	r := rng.New(1)
 	tree.bestSplit(d, 0, d.Len(), r, s) // warm s.feats
@@ -750,7 +750,7 @@ func TestRegBestSplitZeroAllocs(t *testing.T) {
 		y[i] = r.Normal(0, 1)
 	}
 	s := newSplitScratch(1)
-	s.ps.presortMaster(d.X, 8)
+	s.ps.sortMaster(d.X, 8)
 	s.ps.prepareFull()
 	tr := &regTree{maxDepth: 3, minSamplesLeaf: 1}
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -766,7 +766,7 @@ func TestRegBestSplitZeroAllocs(t *testing.T) {
 func TestPartitionZeroAllocs(t *testing.T) {
 	d := fitBlobs(256, 8, 3, rng.New(9))
 	var ps presorted
-	ps.presortMaster(d.X, 8)
+	ps.sortMaster(d.X, 8)
 	thr := d.X[0][0]
 	if allocs := testing.AllocsPerRun(50, func() {
 		ps.prepareFull()

@@ -56,6 +56,7 @@ import (
 	"github.com/netml/alefb/internal/automl"
 	"github.com/netml/alefb/internal/data"
 	"github.com/netml/alefb/internal/faultinject"
+	"github.com/netml/alefb/internal/ml"
 	"github.com/netml/alefb/internal/wire"
 )
 
@@ -495,6 +496,12 @@ func Decode(blob []byte) (*Snapshot, error) {
 	}
 	if k := snap.Train.Schema.NumClasses(); snap.Ensemble.NumClasses != k {
 		return nil, fmt.Errorf("modelstore: ensemble has %d classes, its training set %d", snap.Ensemble.NumClasses, k)
+	}
+	nf := snap.Train.Schema.NumFeatures()
+	for i, m := range snap.Ensemble.Members {
+		if err := ml.CheckInputWidth(m.Model, nf); err != nil {
+			return nil, fmt.Errorf("modelstore: member %d: %w", i, err)
+		}
 	}
 	return snap, nil
 }

@@ -2,14 +2,17 @@ package modelstore
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/netml/alefb/internal/automl"
 	"github.com/netml/alefb/internal/data"
 	"github.com/netml/alefb/internal/faultinject"
+	"github.com/netml/alefb/internal/ml"
 	"github.com/netml/alefb/internal/rng"
 )
 
@@ -99,6 +102,67 @@ func TestModelStoreRoundTrip(t *testing.T) {
 		t.Fatalf("classes mismatch: %v", got.Train.Schema.Classes)
 	}
 	assertSamePredictions(t, ens, got.Ensemble, d.X[:32])
+}
+
+// TestDecodeRejectsMembersWiderThanTrainingSet checks that Decode bounds
+// every member by the snapshot's training schema. Each crafted snapshot
+// pairs a 2-feature training set with a member fitted on wider rows, so
+// predicting a training row would index past its end: a GBDT whose
+// regression trees split on feature 99 (they record no feature count of
+// their own), and a scaled KNN pipeline over 3 features (consistent with
+// itself, so only the schema exposes it).
+func TestDecodeRejectsMembersWiderThanTrainingSet(t *testing.T) {
+	train, _ := fixture(t, 5)
+	wide := func(nf int) *data.Dataset {
+		schema := &data.Schema{Classes: train.Schema.Classes}
+		for f := 0; f < nf; f++ {
+			schema.Features = append(schema.Features, data.Feature{Name: fmt.Sprintf("x%d", f), Min: -10, Max: 10})
+		}
+		d := data.New(schema)
+		for i, y := range train.Y {
+			row := make([]float64, nf)
+			row[nf-1] = train.X[i][0] // only the last feature separates the classes
+			d.Append(row, y)
+		}
+		return d
+	}
+	cases := []struct {
+		name  string
+		model ml.Classifier
+		rows  *data.Dataset
+		want  string
+	}{
+		{"gbdt-feature-99", ml.NewGBDT(ml.GBDTConfig{NumRounds: 2, MaxDepth: 1}), wide(100), "splits on feature 99 of 2"},
+		{"knn-width-3", &ml.Pipeline{Scaler: &ml.StandardScaler{}, Model: ml.NewKNN(ml.KNNConfig{K: 3})}, wide(3), "covers 3 features, rows have 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.model.Fit(tc.rows, rng.New(7)); err != nil {
+				t.Fatal(err)
+			}
+			ens := &automl.Ensemble{Members: []automl.Member{{Model: tc.model, Weight: 1}}, NumClasses: train.Schema.NumClasses()}
+			blob, err := Encode(snapFor(1, 5, train, ens))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := Decode(blob)
+			if err == nil {
+				// Show what serving this snapshot would do.
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							err = fmt.Errorf("predict panics: %v", p)
+						}
+					}()
+					snap.Ensemble.PredictProba(train.X[0])
+				}()
+				t.Fatalf("Decode accepted a member wider than its training set (%v)", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode error %q does not name %q", err, tc.want)
+			}
+		})
+	}
 }
 
 // TestModelStoreVersionHistory pins version listing, LoadVersion,

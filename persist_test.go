@@ -2,11 +2,14 @@ package alefb
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"math"
+	"os"
 	"testing"
 
 	"github.com/netml/alefb/internal/wire"
@@ -34,29 +37,105 @@ func loadNoPanic(blob []byte, train *Dataset) (ens *Ensemble, err error) {
 	return LoadEnsemble(bytes.NewReader(blob), train)
 }
 
+// histEraSnapshot is a snapshot written by SaveEnsemble while AutoML
+// could still train tree families with a histogram engine: a search over
+// the tree families (AutoML seed 2, MaxCandidates 8, Generations 1,
+// EnsembleSize 4) on confusableDataset(300, 2), with every member fitted
+// by that engine and carrying the "hist": 1 spec parameter. Its members
+// (AdaBoost, GBDT, extra-trees) store the engine in the two reserved
+// int64 slots of each tree-family record. histEraPredictions is the
+// SHA-256 of the Float64bits (little-endian) of its batch predictions on
+// confusableDataset(100, 102), recorded by the code that wrote it. A
+// presort refit of the same specs predicts differently, so only a decode
+// that rebuilds the stored trees matches it.
+const (
+	histEraSnapshot    = "testdata/hist-seed2.snap"
+	histEraPredictions = "15817091875b0b8dff16e39630e91b383527b993d537ef1848fd29f16f53ff56"
+)
+
+// loadHistEra loads the histogram-era snapshot and its training data.
+func loadHistEra(t *testing.T) (*Ensemble, *Dataset) {
+	t.Helper()
+	blob, err := os.ReadFile(histEraSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := confusableDataset(300, 2)
+	ens, err := LoadEnsemble(bytes.NewReader(blob), train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ens, train
+}
+
+// predictionHash is the SHA-256 of the Float64bits of ens's batch
+// predictions on X.
+func predictionHash(ens *Ensemble, X [][]float64) string {
+	out := make([][]float64, len(X))
+	for i := range out {
+		out[i] = make([]float64, ens.NumClasses)
+	}
+	ens.PredictProbaBatchInto(X, out)
+	h := sha256.New()
+	var b [8]byte
+	for _, row := range out {
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHistEraSnapshotPredicts checks that a snapshot whose members were
+// trained by the removed histogram engine still loads and predicts bit
+// for bit what it predicted when it was written: training never runs on
+// load, and the decoder skips the reserved slots that held the engine.
+func TestHistEraSnapshotPredicts(t *testing.T) {
+	ens, _ := loadHistEra(t)
+	hist := 0
+	for _, m := range ens.Members {
+		if m.Spec.Params["hist"] == 1 {
+			hist++
+		}
+	}
+	if hist != len(ens.Members) || hist == 0 {
+		t.Fatalf("%d of %d members carry the hist parameter, want all", hist, len(ens.Members))
+	}
+	if got := predictionHash(ens, confusableDataset(100, 102).X); got != histEraPredictions {
+		t.Fatalf("prediction hash %s, want %s", got, histEraPredictions)
+	}
+}
+
 // TestSaveLoadRoundTrip pins the persistence contract: a loaded ensemble
 // predicts bit-identically to the one that was saved, with no refit, and
-// keeps every member's spec (a hist-engine search keeps its engine knob).
-// Saving is deterministic, so the reload re-saves to the same bytes.
+// keeps every member's spec (the histogram-era snapshot keeps its "hist"
+// parameters). Saving is deterministic, so the reload re-saves to the
+// same bytes.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	cases := []struct {
-		name   string
-		seed   uint64
-		engine TrainEngine
+		name    string
+		seed    uint64
+		histEra bool // start from histEraSnapshot instead of a search
 	}{
-		{"presort-seed1", 1, EnginePresort},
-		{"presort-seed5", 5, EnginePresort},
-		{"hist-seed7", 7, EngineHist},
+		{"presort-seed1", 1, false},
+		{"presort-seed5", 5, false},
+		{"hist-seed2", 2, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			train := confusableDataset(240, tc.seed)
-			test := confusableDataset(100, tc.seed+100)
-			cfg := smallAutoML(tc.seed)
-			cfg.TrainEngine = tc.engine
-			ens, err := Train(train, cfg)
-			if err != nil {
-				t.Fatal(err)
+			var ens *Ensemble
+			var train, test *Dataset
+			if tc.histEra {
+				ens, train = loadHistEra(t)
+				test = confusableDataset(100, tc.seed+100)
+			} else {
+				train = confusableDataset(240, tc.seed)
+				test = confusableDataset(100, tc.seed+100)
+				var err error
+				if ens, err = Train(train, smallAutoML(tc.seed)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			blob := saveBytes(t, ens, train)
 			got, err := LoadEnsemble(bytes.NewReader(blob), train)
@@ -67,7 +146,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if len(got.Members) != len(ens.Members) {
 				t.Fatalf("%d members, want %d", len(got.Members), len(ens.Members))
 			}
-			hist := 0
 			for i := range ens.Members {
 				w, g := ens.Members[i], got.Members[i]
 				if g.Spec.String() != w.Spec.String() || len(g.Spec.Params) != len(w.Spec.Params) ||
@@ -79,28 +157,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 						t.Fatalf("member %d: param %q = %v, want %v", i, k, gv, v)
 					}
 				}
-				if w.Spec.Params["hist"] == 1 {
-					hist++
-				}
-			}
-			if tc.engine == EngineHist && hist == 0 {
-				t.Fatal("hist search selected no hist-engine member; the knob check is vacuous")
 			}
 
-			want := make([][]float64, len(test.X))
-			have := make([][]float64, len(test.X))
-			for i := range test.X {
-				want[i] = make([]float64, ens.NumClasses)
-				have[i] = make([]float64, ens.NumClasses)
-			}
-			ens.PredictProbaBatchInto(test.X, want)
-			got.PredictProbaBatchInto(test.X, have)
-			for i := range want {
-				for j := range want[i] {
-					if math.Float64bits(want[i][j]) != math.Float64bits(have[i][j]) {
-						t.Fatalf("row %d class %d: loaded %v, saved %v", i, j, have[i][j], want[i][j])
-					}
-				}
+			if want, have := predictionHash(ens, test.X), predictionHash(got, test.X); want != have {
+				t.Fatalf("loaded ensemble predicts %s, saved one %s", have, want)
 			}
 
 			if again := saveBytes(t, got, train); !bytes.Equal(again, blob) {
@@ -272,7 +332,7 @@ func firstTreeLeftOffset(t *testing.T, payload []byte) int {
 	}
 	r.Bool() // RandomThresholds
 	for i := 0; i < 4; i++ {
-		r.I64() // Engine, HistWorkers, nClasses, nFeatures
+		r.I64() // two reserved slots, nClasses, nFeatures
 	}
 	r.I32s() // feature
 	r.F64s() // threshold
