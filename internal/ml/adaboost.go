@@ -73,18 +73,17 @@ func (a *AdaBoost) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand)
 	for i := range weights {
 		weights[i] = 1 / float64(n)
 	}
-	// Weak learners are trained on weighted resamples (weight-aware tree
-	// fitting via resampling keeps the tree code unchanged and is the
-	// standard randomized approximation). Every round's resample is a
-	// projection of one shared master sort (see presort.go), so the rows
-	// are never re-sorted; the sampler, the draw, the resampled dataset
-	// and the predictions each keep one backing for the whole fit.
+	// Weak learners are trained on weighted resamples (the standard
+	// randomized approximation of weight-aware fitting). Every round's
+	// resample is a counts view of one shared master sort (see
+	// presort.go): each distinct drawn row once, weighted by its draw
+	// count, never re-sorted. The sampler, the draw and the predictions
+	// each keep one backing for the whole fit.
 	scratch := newSplitScratch(k)
 	scratch.ps.attach(cols.sorted())
 	idx := make([]int, n)
 	pred := make([]int, n)
 	var sampler rng.Cumulative
-	var sample data.Dataset
 	for round := 0; round < cfg.Rounds; round++ {
 		// One O(n) prefix-sum build amortized over n O(log n) draws: the
 		// naive per-draw Weighted scan made every round's resample O(n²).
@@ -96,8 +95,8 @@ func (a *AdaBoost) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand)
 			MaxDepth:       cfg.MaxDepth,
 			MinSamplesLeaf: 1,
 		})
-		scratch.ps.prepareSubset(idx)
-		if err := tree.fit(d.SubsetInto(idx, &sample), r, scratch); err != nil {
+		scratch.ps.prepareCounts(idx)
+		if err := tree.fit(d, r, scratch); err != nil {
 			return fmt.Errorf("ml: adaboost round %d: %w", round, err)
 		}
 		// Weighted training error of this weak learner, read straight off
@@ -125,10 +124,11 @@ func (a *AdaBoost) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand)
 		a.trees = append(a.trees, tree)
 		a.alphas = append(a.alphas, alpha)
 		// Reweight and renormalize.
+		boost := math.Exp(alpha)
 		total := 0.0
 		for i := range weights {
 			if pred[i] != d.Y[i] {
-				weights[i] *= math.Exp(alpha)
+				weights[i] *= boost
 			}
 			total += weights[i]
 		}

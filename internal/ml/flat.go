@@ -291,7 +291,8 @@ func (f *flatRegTree) predict(x []float64) float64 {
 type splitScratch struct {
 	leftCounts  []float64
 	rightCounts []float64
-	feats       []int // per-node candidate-feature draw (rng.SampleInto)
+	nodeCounts  []float64 // class counts of the node bestSplit scans
+	feats       []int     // per-node candidate-feature draw (rng.SampleInto)
 	ps          presorted
 
 	// Chunked arenas for the pointer nodes and leaf payloads the build
@@ -310,6 +311,7 @@ func newSplitScratch(k int) *splitScratch {
 	return &splitScratch{
 		leftCounts:  make([]float64, k),
 		rightCounts: make([]float64, k),
+		nodeCounts:  make([]float64, k),
 	}
 }
 

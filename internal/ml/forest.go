@@ -85,13 +85,13 @@ func (f *Forest) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) e
 	f.nClasses = d.Schema.NumClasses()
 	f.trees = make([]*Tree, cfg.NumTrees)
 	// One scratch — and one master sort of the training matrix — shared by
-	// every tree: bootstrap trees project the master orderings through
-	// their resample, extra-trees restore the full view by copy. The
-	// bootstrap draw and its resampled dataset reuse one backing each.
+	// every tree: bootstrap trees grow on a counts view of their resample
+	// (each distinct drawn row once, weighted by its draw count),
+	// extra-trees restore the full view by copy. The bootstrap draw reuses
+	// one backing.
 	scratch := newSplitScratch(f.nClasses)
 	scratch.ps.attach(cols.sorted())
 	var idx []int
-	var sample data.Dataset
 	if cfg.Bootstrap {
 		idx = make([]int, d.Len())
 	}
@@ -102,17 +102,15 @@ func (f *Forest) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) e
 			MaxFeatures:      maxFeatures,
 			RandomThresholds: cfg.ExtraTrees,
 		})
-		train := d
 		if cfg.Bootstrap {
 			for i := range idx {
 				idx[i] = r.Intn(d.Len())
 			}
-			train = d.SubsetInto(idx, &sample)
-			scratch.ps.prepareSubset(idx)
+			scratch.ps.prepareCounts(idx)
 		} else {
 			scratch.ps.prepareFull()
 		}
-		if err := tree.fit(train, r, scratch); err != nil {
+		if err := tree.fit(d, r, scratch); err != nil {
 			return fmt.Errorf("ml: forest tree %d: %w", t, err)
 		}
 		f.trees[t] = tree

@@ -80,15 +80,19 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 		g.base[k] = math.Log(p)
 	}
 
-	// scores[i][k] is the current raw (log-odds) score.
-	scores := make([][]float64, n)
-	for i := range scores {
-		scores[i] = append([]float64(nil), g.base...)
+	// scores[i*nk+k] is row i's current raw (log-odds) score for class k,
+	// probs[i*nk+k] its softmax probability. probs is computed once per
+	// round: the scores only change after every class tree of the round
+	// has grown.
+	nk := g.nClasses
+	scores := make([]float64, n*nk)
+	probs := make([]float64, n*nk)
+	for i := 0; i < n; i++ {
+		copy(scores[i*nk:(i+1)*nk], g.base)
 	}
 
 	g.rounds = make([][]*regTree, 0, cfg.NumRounds)
 	residual := make([]float64, n)
-	proba := make([]float64, g.nClasses)
 	// One scratch — and one master sort of the training matrix — shared
 	// across every round and class: full-row rounds restore the presorted
 	// view by copy, subsampled rounds project it through the row draw.
@@ -106,9 +110,12 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 			m := int(math.Max(1, cfg.Subsample*float64(n)))
 			rowIdx = r.Sample(n, m)
 		}
+		for i := 0; i < n; i++ {
+			softmaxInto(scores[i*nk:(i+1)*nk], probs[i*nk:(i+1)*nk])
+		}
 
-		trees := make([]*regTree, g.nClasses)
-		for k := 0; k < g.nClasses; k++ {
+		trees := make([]*regTree, nk)
+		for k := 0; k < nk; k++ {
 			t := &regTree{
 				maxDepth:       cfg.MaxDepth,
 				minSamplesLeaf: cfg.MinSamplesLeaf,
@@ -118,23 +125,21 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 				// gathered into subsample order (working row si is d row
 				// rowIdx[si]).
 				for si, i := range rowIdx {
-					softmaxInto(scores[i], proba)
 					target := 0.0
 					if d.Y[i] == k {
 						target = 1
 					}
-					subY[si] = target - proba[k]
+					subY[si] = target - probs[i*nk+k]
 				}
 				scratch.ps.prepareSubset(rowIdx)
 				t.fit(subY[:len(rowIdx)], scratch)
 			} else {
 				for i := 0; i < n; i++ {
-					softmaxInto(scores[i], proba)
 					target := 0.0
 					if d.Y[i] == k {
 						target = 1
 					}
-					residual[i] = target - proba[k]
+					residual[i] = target - probs[i*nk+k]
 				}
 				scratch.ps.prepareFull()
 				t.fit(residual, scratch)
@@ -144,8 +149,8 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 		// Update all scores (not only the subsample) so residuals stay
 		// consistent across rounds.
 		for i := 0; i < n; i++ {
-			for k := 0; k < g.nClasses; k++ {
-				scores[i][k] += cfg.LearningRate * trees[k].predict(d.X[i])
+			for k := 0; k < nk; k++ {
+				scores[i*nk+k] += cfg.LearningRate * trees[k].predict(d.X[i])
 			}
 		}
 		g.rounds = append(g.rounds, trees)

@@ -44,11 +44,28 @@ import (
 // One master copy of the sorted orderings (SortedColumns) survives the
 // whole ensemble fit — and, when a caller shares it through FitSorted,
 // every fit of the same dataset; each tree trains on a working copy
-// (partitioning is destructive),
-// restored by memcpy — or, for trees trained on a row subset (bootstrap
-// resamples, GBDT subsampling, AdaBoost reweighted samples), by a linear
-// counting projection of the master ordering through the subset, which
-// replaces the per-tree re-sort with two O(rows) passes per feature.
+// (partitioning is destructive), restored by memcpy (prepareFull).
+//
+// Trees grown on a resample — bootstrap forests and AdaBoost rounds, which
+// draw rows with replacement — use a counts view (prepareCounts): the
+// working view holds each distinct drawn row once, keyed by its master row
+// id, and w carries how often it was drawn. A row drawn seven times is
+// projected, scanned and partitioned once, not seven times. Every
+// classification statistic the tree reads (class counts at a leaf or a
+// scan position, node and child sizes checked against the size floors) is
+// a sum of integer multiplicities, exact in float64 and independent of
+// order, so it equals the count over the copy-per-draw multiset. The
+// candidate thresholds are midpoints of adjacent distinct values, the same
+// set in both views, and the nodes — and so the per-node rng draws — are
+// the same, so a counts-view tree is bit-identical to one grown on the
+// resampled dataset. GBDT's row subsample keeps the copy-per-row subset
+// view (prepareSubset): regression leaf means sum float targets in working
+// row order, and its rows are distinct anyway.
+//
+// A split whose children are both certain to be leaves (depth limit, or
+// size below the split floor) commits with partitionRows, which splits
+// only the identity ordering a leaf reads and leaves the feature blocks
+// of the segment as they are: no node reads them again.
 
 // presorted holds the sorted feature orderings for one training matrix
 // plus the working state one tree fit partitions. It lives inside
@@ -65,15 +82,23 @@ type presorted struct {
 	masterVal []float64
 
 	// n is the number of rows in the current working view (== masterRows
-	// after prepareFull, == len(idx) after prepareSubset).
+	// after prepareFull, == len(idx) after prepareSubset, the number of
+	// distinct rows of idx after prepareCounts).
 	n int
+	// size is the weighted row count of the working view: the sum of w.
+	size int
 	// ord/val are the working orderings, stride n, partitioned in place
-	// as the tree grows.
+	// as the tree grows. Their entries are working row ids: master row ids
+	// after prepareFull and prepareCounts, subset positions after
+	// prepareSubset.
 	ord []int32
 	val []float64
 	// rows is the identity ordering: the working rows of each node
 	// segment in ascending row order, partitioned in tandem with ord.
 	rows []int32
+	// w is the multiplicity of each working row, indexed by working row
+	// id: the draw counts after prepareCounts, one otherwise.
+	w []float64
 
 	// mask marks rows routed to the left child of the split being
 	// committed; tmpOrd/tmpVal stage the right half of a stable
@@ -82,8 +107,9 @@ type presorted struct {
 	tmpOrd []int32
 	tmpVal []float64
 
-	// bucketStart/bucketEnd/bucketJ are the counting-projection scratch:
-	// for every master row, the working positions that reference it.
+	// bucketStart/bucketEnd/bucketJ are prepareSubset's counting-projection
+	// scratch, sized on its first use: for every master row, the working
+	// positions that reference it.
 	bucketStart []int32
 	bucketEnd   []int32
 	bucketJ     []int32
@@ -179,7 +205,8 @@ func (p *featSorter) Swap(i, j int) {
 
 // attach makes the sorted columns the master orderings of this scratch —
 // shared and read-only — and sizes the per-fit working copies over them.
-// Each tree then selects its rows with prepareFull or prepareSubset.
+// Each tree then selects its rows with prepareFull, prepareCounts or
+// prepareSubset.
 func (ps *presorted) attach(cols *SortedColumns) {
 	n0, nf := cols.rows, cols.nf
 	ps.masterRows, ps.nf = n0, nf
@@ -189,11 +216,7 @@ func (ps *presorted) attach(cols *SortedColumns) {
 		ps.mask = make([]bool, n0)
 		ps.tmpOrd = make([]int32, n0)
 		ps.tmpVal = make([]float64, n0)
-		ps.bucketEnd = make([]int32, n0)
-		ps.bucketJ = make([]int32, n0)
-	}
-	if cap(ps.bucketStart) < n0+1 {
-		ps.bucketStart = make([]int32, n0+1)
+		ps.w = make([]float64, n0)
 	}
 	if need := n0 * nf; cap(ps.ord) < need {
 		ps.ord = make([]int32, need)
@@ -206,23 +229,74 @@ func (ps *presorted) attach(cols *SortedColumns) {
 // previous fit destroyed the working copy, never the master).
 func (ps *presorted) prepareFull() {
 	n0 := ps.masterRows
-	ps.n = n0
+	ps.n, ps.size = n0, n0
 	copy(ps.ord[:n0*ps.nf], ps.masterOrd)
 	copy(ps.val[:n0*ps.nf], ps.masterVal)
 	for i := 0; i < n0; i++ {
 		ps.rows[i] = int32(i)
+		ps.w[i] = 1
+	}
+}
+
+// prepareCounts selects the multiset idx of master rows as a counts view:
+// the working rows are the distinct rows of idx, by master row id, each
+// weighted in w by how often idx draws it. Each feature's working
+// ordering is the master ordering with the undrawn rows filtered out, one
+// O(masterRows) pass per feature.
+func (ps *presorted) prepareCounts(idx []int) {
+	n0 := ps.masterRows
+	counts := ps.w[:n0]
+	for i := range counts {
+		counts[i] = 0
+	}
+	for _, o := range idx {
+		counts[o]++
+	}
+	m := 0
+	for i, c := range counts {
+		if c != 0 {
+			ps.rows[m] = int32(i)
+			m++
+		}
+	}
+	ps.n, ps.size = m, len(idx)
+	for f := 0; f < ps.nf; f++ {
+		mOrd := ps.masterOrd[f*n0 : (f+1)*n0]
+		mVal := ps.masterVal[f*n0 : (f+1)*n0]
+		// Branch-free filter: every master row is written at k and only a
+		// drawn one advances k. An undrawn row may land one slot past this
+		// feature's block, which the next feature overwrites (or, for the
+		// last feature, lies past the view); it never runs off the buffer
+		// because a view with an undrawn row has m < n0.
+		ord, val := ps.ord[f*m:], ps.val[f*m:]
+		k := 0
+		for p, orig := range mOrd {
+			ord[k], val[k] = orig, mVal[p]
+			drawn := 0
+			if counts[orig] != 0 {
+				drawn = 1
+			}
+			k += drawn
+		}
 	}
 }
 
 // prepareSubset selects the rows idx (a multiset of master rows; working
-// row j stands for master row idx[j]) as the working view. Each feature's
-// working ordering is produced by walking the master ordering once and
-// emitting every working row that references the master row — a counting
-// projection that inherits the master's sort in O(masterRows + len(idx))
-// per feature instead of re-sorting.
+// row j stands for master row idx[j]) as the working view, each of weight
+// one. GBDT's row subsample uses it, since its regression scans sum float
+// targets in working row order. Each feature's working ordering is
+// produced by walking the master ordering once and emitting every working
+// row that references the master row — a counting projection that
+// inherits the master's sort in O(masterRows + len(idx)) per feature
+// instead of re-sorting.
 func (ps *presorted) prepareSubset(idx []int) {
 	n0, m := ps.masterRows, len(idx)
-	ps.n = m
+	ps.n, ps.size = m, m
+	if cap(ps.bucketStart) < n0+1 {
+		ps.bucketStart = make([]int32, n0+1)
+		ps.bucketEnd = make([]int32, n0)
+		ps.bucketJ = make([]int32, n0)
+	}
 	start, end := ps.bucketStart[:n0+1], ps.bucketEnd[:n0]
 	for i := range start {
 		start[i] = 0
@@ -256,25 +330,28 @@ func (ps *presorted) prepareSubset(idx []int) {
 	}
 	for j := 0; j < m; j++ {
 		ps.rows[j] = int32(j)
+		ps.w[j] = 1
 	}
 }
 
 // markLeft computes, for the split (f <= thr) of node segment [lo, hi),
-// which rows go left, and returns the left-child size. The caller checks
-// leaf-size floors against the result before committing with partition.
-func (ps *presorted) markLeft(f, lo, hi int, thr float64) int {
+// which rows go left, and returns the left child's row count nl (where
+// the segment is cut) and its weighted size wl (what the leaf-size floors
+// check). The caller commits with partition or partitionRows.
+func (ps *presorted) markLeft(f, lo, hi int, thr float64) (nl, wl int) {
 	n := ps.n
 	vals := ps.val[f*n+lo : f*n+hi]
 	rows := ps.ord[f*n+lo : f*n+hi]
-	nl := 0
+	w := 0.0
 	for i, row := range rows {
 		left := vals[i] <= thr
 		ps.mask[row] = left
 		if left {
 			nl++
+			w += ps.w[row]
 		}
 	}
-	return nl
+	return nl, int(w)
 }
 
 // partition commits the membership recorded by markLeft: every feature's
@@ -282,35 +359,45 @@ func (ps *presorted) markLeft(f, lo, hi int, thr float64) int {
 // rows followed by right rows, preserving ascending value order on both
 // sides, so the children are valid presorted views.
 func (ps *presorted) partition(lo, hi int) {
-	n := ps.n
+	n, mask := ps.n, ps.mask
+	tmpOrd, tmpVal := ps.tmpOrd[:hi-lo], ps.tmpVal[:hi-lo]
 	for f := 0; f < ps.nf; f++ {
 		ord := ps.ord[f*n+lo : f*n+hi]
 		val := ps.val[f*n+lo : f*n+hi]
 		w, t := 0, 0
 		for i, row := range ord {
-			if ps.mask[row] {
-				ord[w] = row
-				val[w] = val[i]
-				w++
-			} else {
-				ps.tmpOrd[t] = row
-				ps.tmpVal[t] = val[i]
-				t++
+			// Branch-free: the row is written to both sides and only its
+			// own side advances (ord[w], w <= i, has already been read).
+			v := val[i]
+			ord[w], val[w] = row, v
+			tmpOrd[t], tmpVal[t] = row, v
+			left := 0
+			if mask[row] {
+				left = 1
 			}
+			w += left
+			t += 1 - left
 		}
-		copy(ord[w:], ps.tmpOrd[:t])
-		copy(val[w:], ps.tmpVal[:t])
+		copy(ord[w:], tmpOrd[:t])
+		copy(val[w:], tmpVal[:t])
 	}
-	seg := ps.rows[lo:hi]
+	ps.partitionRows(lo, hi)
+}
+
+// partitionRows commits the membership recorded by markLeft to the
+// identity ordering alone. It suffices when both children will be
+// leaves: a leaf reads only its rows, never the feature blocks.
+func (ps *presorted) partitionRows(lo, hi int) {
+	seg, mask, tmp := ps.rows[lo:hi], ps.mask, ps.tmpOrd[:hi-lo]
 	w, t := 0, 0
 	for _, row := range seg {
-		if ps.mask[row] {
-			seg[w] = row
-			w++
-		} else {
-			ps.tmpOrd[t] = row
-			t++
+		seg[w], tmp[t] = row, row
+		left := 0
+		if mask[row] {
+			left = 1
 		}
+		w += left
+		t += 1 - left
 	}
-	copy(seg[w:], ps.tmpOrd[:t])
+	copy(seg[w:], tmp[:t])
 }

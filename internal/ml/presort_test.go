@@ -19,6 +19,7 @@ package ml
 // could otherwise wiggle low bits.
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -507,6 +508,10 @@ func TestForestFitMatchesLegacy(t *testing.T) {
 	cfgs := []ForestConfig{
 		{NumTrees: 10, MaxDepth: 5, Bootstrap: true},
 		{NumTrees: 10, MaxDepth: 5, ExtraTrees: true},
+		// Bootstrap trees with leaf floors above one, unbounded: the
+		// counts view checks the floors against weighted sizes.
+		{NumTrees: 10, MinSamplesLeaf: 3, Bootstrap: true},
+		{NumTrees: 10, MinSamplesLeaf: 5, Bootstrap: true},
 	}
 	for _, seed := range presortSeeds {
 		d := fitBlobs(120, 5, 3, rng.New(seed))
@@ -613,6 +618,144 @@ func TestPrepareSubsetProjection(t *testing.T) {
 	}
 }
 
+// TestPrepareCountsView pins the counts-view invariants: every feature's
+// working ordering holds each distinct drawn row once, by master row id,
+// sorted by value; w holds the draw counts; the identity ordering is the
+// distinct rows ascending; size is the number of draws.
+func TestPrepareCountsView(t *testing.T) {
+	d := fitBlobs(60, 4, 3, rng.New(5))
+	var ps presorted
+	ps.sortMaster(d.X, 4)
+	r := rng.New(9)
+	idx := make([]int, 75)
+	counts := make([]int, d.Len())
+	distinct := 0
+	for i := range idx {
+		idx[i] = r.Intn(d.Len())
+		if counts[idx[i]] == 0 {
+			distinct++
+		}
+		counts[idx[i]]++
+	}
+	ps.prepareCounts(idx)
+	if ps.n != distinct || ps.size != len(idx) {
+		t.Fatalf("n, size = %d, %d; want %d, %d", ps.n, ps.size, distinct, len(idx))
+	}
+	prev := int32(-1)
+	for _, row := range ps.rows[:ps.n] {
+		if row <= prev || counts[row] == 0 {
+			t.Fatalf("identity ordering %v: not the distinct drawn rows ascending", ps.rows[:ps.n])
+		}
+		if ps.w[row] != float64(counts[row]) {
+			t.Fatalf("w[%d] = %v, want %d", row, ps.w[row], counts[row])
+		}
+		prev = row
+	}
+	for f := 0; f < ps.nf; f++ {
+		vals := ps.val[f*ps.n : (f+1)*ps.n]
+		rows := ps.ord[f*ps.n : (f+1)*ps.n]
+		seen := make([]bool, d.Len())
+		for i, row := range rows {
+			if vals[i] != d.X[row][f] {
+				t.Fatalf("feature %d pos %d: value %v does not match row %d", f, i, vals[i], row)
+			}
+			if i > 0 && vals[i] < vals[i-1] {
+				t.Fatalf("feature %d pos %d: ordering not sorted", f, i)
+			}
+			if seen[row] || counts[row] == 0 {
+				t.Fatalf("feature %d: row %d emitted twice or never drawn", f, row)
+			}
+			seen[row] = true
+		}
+	}
+}
+
+// TestCountsViewMatchesSubsetView grows every tree two ways from the same
+// rng seed and requires equal AppendModel bytes: on a counts view of the
+// multiset idx over d (how forests and AdaBoost grow resampled trees),
+// and on the copy-per-draw subset view over d.SubsetInto(idx), the
+// resampled dataset those fits used to build. The multisets cover a
+// uniform bootstrap, an AdaBoost-like draw where one row takes over half
+// the slots, and a single distinct row; the configurations cover leaf
+// floors 1/3/5, depth limits 1–4 and unbounded, feature subsampling and
+// random thresholds. Half the data is rounded so values tie heavily.
+func TestCountsViewMatchesSubsetView(t *testing.T) {
+	var cfgs []TreeConfig
+	for _, leaf := range []int{1, 3, 5} {
+		for _, depth := range []int{0, 1, 2, 3, 4} {
+			cfgs = append(cfgs, TreeConfig{MaxDepth: depth, MinSamplesLeaf: leaf})
+		}
+	}
+	cfgs = append(cfgs,
+		TreeConfig{MinSamplesLeaf: 3, MaxFeatures: 2},
+		TreeConfig{MaxDepth: 4, MaxFeatures: 3, RandomThresholds: true},
+		TreeConfig{MinSamplesLeaf: 5, MaxFeatures: 2, RandomThresholds: true},
+	)
+	multisets := []struct {
+		name string
+		draw func(n int, r *rng.Rand) []int
+	}{
+		{"bootstrap", func(n int, r *rng.Rand) []int {
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = r.Intn(n)
+			}
+			return idx
+		}},
+		{"skewed", func(n int, r *rng.Rand) []int {
+			idx := make([]int, n)
+			heavy := r.Intn(n)
+			for i := range idx {
+				idx[i] = heavy // two slots in three
+				if i%3 == 0 {
+					idx[i] = r.Intn(n)
+				}
+			}
+			return idx
+		}},
+		{"single", func(n int, r *rng.Rand) []int {
+			idx := make([]int, n)
+			row := r.Intn(n)
+			for i := range idx {
+				idx[i] = row
+			}
+			return idx
+		}},
+	}
+	for _, seed := range presortSeeds {
+		d := fitBlobs(150, 6, 3, rng.New(seed))
+		for i, row := range d.X[:75] {
+			for f := range row {
+				d.X[i][f] = math.Round(row[f])
+			}
+		}
+		cols := NewSortedColumns(d)
+		for _, ms := range multisets {
+			idx := ms.draw(d.Len(), rng.New(seed+7))
+			sub := d.SubsetInto(idx, &data.Dataset{})
+			for ci, cfg := range cfgs {
+				got := NewTree(cfg)
+				s := newSplitScratch(3)
+				s.ps.attach(cols.sorted())
+				s.ps.prepareCounts(idx)
+				if err := got.fit(d, rng.New(seed*53+uint64(ci)), s); err != nil {
+					t.Fatal(err)
+				}
+				want := NewTree(cfg)
+				so := newSplitScratch(3)
+				so.ps.attach(cols.sorted())
+				so.ps.prepareSubset(idx)
+				if err := want.fit(sub, rng.New(seed*53+uint64(ci)), so); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(encode(t, got), encode(t, want)) {
+					t.Errorf("seed %d %s cfg %+v: counts-view tree differs from the subset-view tree", seed, ms.name, cfg)
+				}
+			}
+		}
+	}
+}
+
 // --- fuzz: presorted bestSplit vs the legacy sort-per-node oracle ---
 
 // fuzzDataset decodes raw fuzz bytes into a small dataset whose feature
@@ -669,7 +812,7 @@ func FuzzBestSplitMatchesLegacy(f *testing.F) {
 			s := newSplitScratch(3)
 			s.ps.sortMaster(d.X, nf)
 			s.ps.prepareFull()
-			feat, thr, ok := tree.bestSplit(d, 0, d.Len(), rng.New(77), s)
+			feat, thr, ok := tree.bestSplit(d, 0, d.Len(), d.Len(), rng.New(77), s)
 
 			idx := make([]int, d.Len())
 			for i := range idx {
@@ -734,9 +877,9 @@ func TestBestSplitZeroAllocs(t *testing.T) {
 	s.ps.sortMaster(d.X, 8)
 	s.ps.prepareFull()
 	r := rng.New(1)
-	tree.bestSplit(d, 0, d.Len(), r, s) // warm s.feats
+	tree.bestSplit(d, 0, d.Len(), d.Len(), r, s) // warm s.feats
 	if allocs := testing.AllocsPerRun(50, func() {
-		tree.bestSplit(d, 0, d.Len(), r, s)
+		tree.bestSplit(d, 0, d.Len(), d.Len(), r, s)
 	}); allocs != 0 {
 		t.Fatalf("warm classification bestSplit allocates %v/op, want 0", allocs)
 	}
@@ -761,8 +904,9 @@ func TestRegBestSplitZeroAllocs(t *testing.T) {
 }
 
 // TestPartitionZeroAllocs pins the other per-node step: committing a
-// split (markLeft + partition) must not allocate either, so the whole
-// node loop is allocation-free once the scratch is warm.
+// split (markLeft + partition, or partitionRows for a leaf-bound split)
+// must not allocate either, and neither may preparing a counts view, so
+// the whole node loop is allocation-free once the scratch is warm.
 func TestPartitionZeroAllocs(t *testing.T) {
 	d := fitBlobs(256, 8, 3, rng.New(9))
 	var ps presorted
@@ -770,10 +914,21 @@ func TestPartitionZeroAllocs(t *testing.T) {
 	thr := d.X[0][0]
 	if allocs := testing.AllocsPerRun(50, func() {
 		ps.prepareFull()
-		nl := ps.markLeft(0, 0, ps.n, thr)
+		ps.markLeft(0, 0, ps.n, thr)
 		ps.partition(0, ps.n)
-		_ = nl
 	}); allocs != 0 {
 		t.Fatalf("warm markLeft+partition allocates %v/op, want 0", allocs)
+	}
+	r := rng.New(4)
+	idx := make([]int, d.Len())
+	for i := range idx {
+		idx[i] = r.Intn(d.Len())
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		ps.prepareCounts(idx)
+		ps.markLeft(0, 0, ps.n, thr)
+		ps.partitionRows(0, ps.n)
+	}); allocs != 0 {
+		t.Fatalf("warm prepareCounts+markLeft+partitionRows allocates %v/op, want 0", allocs)
 	}
 }
