@@ -50,7 +50,9 @@ bench-ml:
 
 # bench-serve runs the end-to-end serving throughput benchmarks (predict
 # coalescing, ingest with the off-path drift monitor, cached
-# interpretation) into results/bench_serve_current.txt. The committed
+# interpretation) into results/bench_serve_current.txt. Each drives an
+# in-process server over loopback HTTP with the closed-loop driver in
+# internal/serve/load_test.go (serve.Client, retries off). The committed
 # results/bench_serve_baseline.txt is the frozen sweep of the per-request,
 # inline-drift and uncached paths these mechanisms replaced, so the
 # speedups in BENCH_SERVE.json stay the mechanisms themselves.

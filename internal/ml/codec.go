@@ -83,7 +83,10 @@ func AppendModel(buf []byte, c Classifier) ([]byte, error) {
 		buf = wire.AppendF64(buf, m.Config.LearningRate)
 		buf = wire.AppendI64(buf, int64(m.Config.MaxDepth))
 		buf = wire.AppendI64(buf, int64(m.Config.MinSamplesLeaf))
-		buf = wire.AppendF64(buf, m.Config.Subsample)
+		// The retired row-subsample fraction: no production GBDT set it,
+		// so every snapshot stored 1 here. Prediction never read it, and
+		// decode skips it.
+		buf = wire.AppendF64(buf, 1)
 		buf = appendReserved(buf)
 		buf = wire.AppendI64(buf, int64(m.nClasses))
 		buf = wire.AppendF64s(buf, m.base)
@@ -200,7 +203,7 @@ func DecodeModel(r *wire.Reader) (Classifier, error) {
 		m.Config.LearningRate = r.F64()
 		m.Config.MaxDepth = int(r.I64())
 		m.Config.MinSamplesLeaf = int(r.I64())
-		m.Config.Subsample = r.F64()
+		r.F64() // retired row-subsample slot
 		skipReserved(r)
 		m.nClasses = int(r.I64())
 		m.base = r.F64s()

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -107,6 +108,56 @@ func TestModelCodecTruncation(t *testing.T) {
 		if _, err := DecodeModel(wire.NewReader(buf[:n])); err == nil {
 			t.Fatalf("prefix %d of %d decoded without error", n, len(buf))
 		}
+	}
+}
+
+// TestGBDTCodecSkipsSubsampleSlot pins the retired row-subsample slot of
+// the GBDT record: encoding writes 1 there, as every GBDT fitted without
+// a subsample did, and a record whose slot holds another fraction (0.7)
+// decodes to a model that predicts bit-identically and re-encodes to the
+// original bytes.
+func TestGBDTCodecSkipsSubsampleSlot(t *testing.T) {
+	train := blobs(160, 3, rng.New(6))
+	test := blobs(64, 3, rng.New(7))
+	m := NewGBDT(GBDTConfig{NumRounds: 6})
+	if err := m.Fit(train, rng.New(6)); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	buf, err := AppendModel(nil, m)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	// The slot follows the tag byte and NumRounds, LearningRate, MaxDepth
+	// and MinSamplesLeaf, eight bytes each.
+	off := 1 + 4*8
+	if !bytes.Equal(buf[off:off+8], wire.AppendF64(nil, 1)) {
+		t.Fatalf("subsample slot holds % x, want the encoding of 1", buf[off:off+8])
+	}
+	edited := append([]byte(nil), buf...)
+	copy(edited[off:], wire.AppendF64(nil, 0.7))
+	r := wire.NewReader(edited)
+	got, err := DecodeModel(r)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d bytes left after decode", r.Remaining())
+	}
+	want := PredictProbaBatch(m, test.X)
+	have := PredictProbaBatch(got, test.X)
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(want[i][j]) != math.Float64bits(have[i][j]) {
+				t.Fatalf("row %d class %d: %v != %v (bit mismatch)", i, j, have[i][j], want[i][j])
+			}
+		}
+	}
+	again, err := AppendModel(nil, got)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if !bytes.Equal(again, buf) {
+		t.Fatal("a decoded 0.7-slot record re-encodes to different bytes")
 	}
 }
 

@@ -18,8 +18,6 @@ type GBDTConfig struct {
 	MaxDepth int
 	// MinSamplesLeaf of each regression tree (default 5).
 	MinSamplesLeaf int
-	// Subsample is the row fraction per round, (0,1]; default 1.
-	Subsample float64
 }
 
 func (c GBDTConfig) withDefaults() GBDTConfig {
@@ -34,9 +32,6 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 	}
 	if c.MinSamplesLeaf <= 0 {
 		c.MinSamplesLeaf = 5
-	}
-	if c.Subsample <= 0 || c.Subsample > 1 {
-		c.Subsample = 1
 	}
 	return c
 }
@@ -94,22 +89,11 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 	g.rounds = make([][]*regTree, 0, cfg.NumRounds)
 	residual := make([]float64, n)
 	// One scratch — and one master sort of the training matrix — shared
-	// across every round and class: full-row rounds restore the presorted
-	// view by copy, subsampled rounds project it through the row draw.
+	// across every round and class: each tree restores the presorted view
+	// by copy.
 	scratch := newSplitScratch(g.nClasses)
 	scratch.ps.attach(cols.sorted())
-	subsampled := cfg.Subsample < 1
-	var subY []float64
-	if subsampled {
-		subY = make([]float64, n)
-	}
 	for round := 0; round < cfg.NumRounds; round++ {
-		// Optional stochastic row subsample for this round.
-		var rowIdx []int
-		if subsampled {
-			m := int(math.Max(1, cfg.Subsample*float64(n)))
-			rowIdx = r.Sample(n, m)
-		}
 		for i := 0; i < n; i++ {
 			softmaxInto(scores[i*nk:(i+1)*nk], probs[i*nk:(i+1)*nk])
 		}
@@ -120,34 +104,18 @@ func (g *GBDT) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand) err
 				maxDepth:       cfg.MaxDepth,
 				minSamplesLeaf: cfg.MinSamplesLeaf,
 			}
-			if subsampled {
-				// Residual = one-hot(y) - softmax(scores) for class k,
-				// gathered into subsample order (working row si is d row
-				// rowIdx[si]).
-				for si, i := range rowIdx {
-					target := 0.0
-					if d.Y[i] == k {
-						target = 1
-					}
-					subY[si] = target - probs[i*nk+k]
+			// Residual = one-hot(y) - softmax(scores) for class k.
+			for i := 0; i < n; i++ {
+				target := 0.0
+				if d.Y[i] == k {
+					target = 1
 				}
-				scratch.ps.prepareSubset(rowIdx)
-				t.fit(subY[:len(rowIdx)], scratch)
-			} else {
-				for i := 0; i < n; i++ {
-					target := 0.0
-					if d.Y[i] == k {
-						target = 1
-					}
-					residual[i] = target - probs[i*nk+k]
-				}
-				scratch.ps.prepareFull()
-				t.fit(residual, scratch)
+				residual[i] = target - probs[i*nk+k]
 			}
+			scratch.ps.prepareFull()
+			t.fit(residual, scratch)
 			trees[k] = t
 		}
-		// Update all scores (not only the subsample) so residuals stay
-		// consistent across rounds.
 		for i := 0; i < n; i++ {
 			for k := 0; k < nk; k++ {
 				scores[i*nk+k] += cfg.LearningRate * trees[k].predict(d.X[i])

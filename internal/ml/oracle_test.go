@@ -315,7 +315,6 @@ func TestFitSortedSharedColumns(t *testing.T) {
 			NewExtraTrees(6, 5),
 			NewForest(ForestConfig{NumTrees: 4, MaxDepth: 4, Bootstrap: true}),
 			NewGBDT(GBDTConfig{NumRounds: 5}),
-			NewGBDT(GBDTConfig{NumRounds: 5, Subsample: 0.7}),
 			NewAdaBoost(AdaBoostConfig{Rounds: 8}),
 			&Pipeline{Scaler: &StandardScaler{}, Model: NewMLP(MLPConfig{Epochs: 5})},
 		}

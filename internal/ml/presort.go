@@ -58,9 +58,7 @@ import (
 // candidate thresholds are midpoints of adjacent distinct values, the same
 // set in both views, and the nodes — and so the per-node rng draws — are
 // the same, so a counts-view tree is bit-identical to one grown on the
-// resampled dataset. GBDT's row subsample keeps the copy-per-row subset
-// view (prepareSubset): regression leaf means sum float targets in working
-// row order, and its rows are distinct anyway.
+// resampled dataset.
 //
 // A split whose children are both certain to be leaves (depth limit, or
 // size below the split floor) commits with partitionRows, which splits
@@ -82,15 +80,13 @@ type presorted struct {
 	masterVal []float64
 
 	// n is the number of rows in the current working view (== masterRows
-	// after prepareFull, == len(idx) after prepareSubset, the number of
-	// distinct rows of idx after prepareCounts).
+	// after prepareFull, the number of distinct rows of idx after
+	// prepareCounts).
 	n int
 	// size is the weighted row count of the working view: the sum of w.
 	size int
 	// ord/val are the working orderings, stride n, partitioned in place
-	// as the tree grows. Their entries are working row ids: master row ids
-	// after prepareFull and prepareCounts, subset positions after
-	// prepareSubset.
+	// as the tree grows. Their entries are master row ids.
 	ord []int32
 	val []float64
 	// rows is the identity ordering: the working rows of each node
@@ -106,13 +102,6 @@ type presorted struct {
 	mask   []bool
 	tmpOrd []int32
 	tmpVal []float64
-
-	// bucketStart/bucketEnd/bucketJ are prepareSubset's counting-projection
-	// scratch, sized on its first use: for every master row, the working
-	// positions that reference it.
-	bucketStart []int32
-	bucketEnd   []int32
-	bucketJ     []int32
 }
 
 // SortedColumns is the column-major sort of one dataset's feature
@@ -205,8 +194,7 @@ func (p *featSorter) Swap(i, j int) {
 
 // attach makes the sorted columns the master orderings of this scratch —
 // shared and read-only — and sizes the per-fit working copies over them.
-// Each tree then selects its rows with prepareFull, prepareCounts or
-// prepareSubset.
+// Each tree then selects its rows with prepareFull or prepareCounts.
 func (ps *presorted) attach(cols *SortedColumns) {
 	n0, nf := cols.rows, cols.nf
 	ps.masterRows, ps.nf = n0, nf
@@ -278,59 +266,6 @@ func (ps *presorted) prepareCounts(idx []int) {
 			}
 			k += drawn
 		}
-	}
-}
-
-// prepareSubset selects the rows idx (a multiset of master rows; working
-// row j stands for master row idx[j]) as the working view, each of weight
-// one. GBDT's row subsample uses it, since its regression scans sum float
-// targets in working row order. Each feature's working ordering is
-// produced by walking the master ordering once and emitting every working
-// row that references the master row — a counting projection that
-// inherits the master's sort in O(masterRows + len(idx)) per feature
-// instead of re-sorting.
-func (ps *presorted) prepareSubset(idx []int) {
-	n0, m := ps.masterRows, len(idx)
-	ps.n, ps.size = m, m
-	if cap(ps.bucketStart) < n0+1 {
-		ps.bucketStart = make([]int32, n0+1)
-		ps.bucketEnd = make([]int32, n0)
-		ps.bucketJ = make([]int32, n0)
-	}
-	start, end := ps.bucketStart[:n0+1], ps.bucketEnd[:n0]
-	for i := range start {
-		start[i] = 0
-	}
-	for _, o := range idx {
-		start[o+1]++
-	}
-	for i := 0; i < n0; i++ {
-		start[i+1] += start[i]
-		end[i] = start[i]
-	}
-	slots := ps.bucketJ[:m]
-	for j, o := range idx {
-		slots[end[o]] = int32(j)
-		end[o]++
-	}
-	// end[o] is now one past master row o's last slot; start[o] its first.
-	for f := 0; f < ps.nf; f++ {
-		mOrd := ps.masterOrd[f*n0 : (f+1)*n0]
-		mVal := ps.masterVal[f*n0 : (f+1)*n0]
-		ord := ps.ord[f*m : (f+1)*m]
-		val := ps.val[f*m : (f+1)*m]
-		k := 0
-		for p, orig := range mOrd {
-			for _, j := range slots[start[orig]:end[orig]] {
-				ord[k] = j
-				val[k] = mVal[p]
-				k++
-			}
-		}
-	}
-	for j := 0; j < m; j++ {
-		ps.rows[j] = int32(j)
-		ps.w[j] = 1
 	}
 }
 

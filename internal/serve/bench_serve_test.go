@@ -79,24 +79,10 @@ func BenchmarkServePredictLoad64(b *testing.B) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	report, err := RunLoad(context.Background(), LoadConfig{
-		Base:        ts.URL,
-		Concurrency: 64,
-		Requests:    b.N,
-		Rows:        3,
-		Seed:        42,
-		Mix:         Mix{Predict: 1},
-	})
+	res := driveLoad(b, ts.URL, 64, b.N, 3, 42, [numKinds]float64{kindPredict: 1})
 	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for status, n := range report.ByStatus {
-		if status != http.StatusOK {
-			b.Fatalf("status %d x%d under benchmark load:\n%s", status, n, report)
-		}
-	}
-	b.ReportMetric(float64(report.Requests)/report.Elapsed.Seconds(), "req/s")
+	res.onlyStatus(b, http.StatusOK)
+	b.ReportMetric(float64(b.N)/res.elapsed.Seconds(), "req/s")
 	if s.def.batcher.batches.Load() > 0 {
 		b.ReportMetric(float64(s.def.batcher.batchedReqs.Load())/float64(s.def.batcher.batches.Load()), "reqs/batch")
 	}
@@ -160,28 +146,16 @@ func BenchmarkFeedbackIngestDrift(b *testing.B) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	report, err := RunLoad(context.Background(), LoadConfig{
-		Base:        ts.URL,
-		Concurrency: 32,
-		Requests:    b.N,
-		Rows:        4,
-		Seed:        42,
-		Mix:         Mix{Feedback: 1},
-		Timeout:     2 * time.Minute,
-	})
+	res := driveLoad(b, ts.URL, 32, b.N, 4, 42, [numKinds]float64{kindFeedback: 1})
 	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for status, n := range report.ByStatus {
-		if status != http.StatusOK {
-			b.Fatalf("status %d x%d under ingest benchmark:\n%s", status, n, report)
-		}
-	}
-	b.ReportMetric(float64(report.Requests)/report.Elapsed.Seconds(), "req/s")
-	if d := report.Drift; d != nil {
-		b.ReportMetric(float64(d.Evals), "evals")
-		b.ReportMetric(float64(d.Coalesced), "coalesced")
+	res.onlyStatus(b, http.StatusOK)
+	b.ReportMetric(float64(b.N)/res.elapsed.Seconds(), "req/s")
+	s.def.driftEvalMu.Lock()
+	ev := s.def.driftEval
+	s.def.driftEvalMu.Unlock()
+	if ev != nil {
+		b.ReportMetric(float64(ev.evals.Load()), "evals")
+		b.ReportMetric(float64(ev.coalesced.Load()), "coalesced")
 	}
 	ts.Close()
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -207,24 +181,10 @@ func BenchmarkInterpretLoad32(b *testing.B) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	report, err := RunLoad(context.Background(), LoadConfig{
-		Base:        ts.URL,
-		Concurrency: 32,
-		Requests:    b.N,
-		Seed:        42,
-		Mix:         Mix{ALE: 4, Regions: 1},
-		Timeout:     2 * time.Minute,
-	})
+	res := driveLoad(b, ts.URL, 32, b.N, 0, 42, [numKinds]float64{kindALE: 4, kindRegions: 1})
 	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for status, n := range report.ByStatus {
-		if status != http.StatusOK {
-			b.Fatalf("status %d x%d under interpretation benchmark:\n%s", status, n, report)
-		}
-	}
-	b.ReportMetric(float64(report.Requests)/report.Elapsed.Seconds(), "req/s")
+	res.onlyStatus(b, http.StatusOK)
+	b.ReportMetric(float64(b.N)/res.elapsed.Seconds(), "req/s")
 	if ist := s.def.interp.Load(); ist != nil {
 		hits, misses := ist.stats()
 		b.ReportMetric(float64(hits), "hits")

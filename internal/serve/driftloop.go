@@ -58,7 +58,6 @@ type driftEvaluator struct {
 	running  bool
 	lastGate int64 // sequence of the newest capture ever queued
 
-	evalSeq   atomic.Int64 // sequence of the newest COMPLETED evaluation
 	evals     atomic.Int64 // completed evaluations
 	coalesced atomic.Int64 // gate crossings folded into a newer capture
 	evalNanos atomic.Int64 // cumulative evaluation wall time
@@ -88,10 +87,10 @@ func (s *Server) driftEvalFor(m *Model, snap *Snapshot, st *feedback.Store) *dri
 // noteIngest records one acknowledged append: rows were durably
 // appended and seq is the store sequence after them. It advances the
 // ring, queues a capture if a gate was crossed, and reports the newest
-// completed evaluation sequence plus whether a newer one is pending —
-// the handler echoes both in the ack so clients can correlate the
-// drift fields with the data they cover.
-func (ev *driftEvaluator) noteIngest(snap *Snapshot, st *feedback.Store, rows [][]float64, labels []int, seq int64) (evalSeq int64, pending bool) {
+// completed evaluation (nil before the first) plus whether a newer one
+// is pending — the handler echoes both in the ack so clients can
+// correlate the drift fields with the data they cover.
+func (ev *driftEvaluator) noteIngest(snap *Snapshot, st *feedback.Store, rows [][]float64, labels []int, seq int64) (ds *DriftStatus, pending bool) {
 	ev.mu.Lock()
 	switch {
 	case seq == ev.win.Total()+int64(len(rows)):
@@ -129,10 +128,13 @@ func (ev *driftEvaluator) noteIngest(snap *Snapshot, st *feedback.Store, rows []
 			go ev.run()
 		}
 	}
-	evalSeq = ev.evalSeq.Load()
+	var evalSeq int64
+	if ds = ev.m.drift.Load(); ds != nil {
+		evalSeq = ds.Seq
+	}
 	pending = ev.lastGate > evalSeq
 	ev.mu.Unlock()
-	return evalSeq, pending
+	return ds, pending
 }
 
 // run is the evaluation worker: it drains pending captures and exits
@@ -179,11 +181,7 @@ func (ev *driftEvaluator) evaluate(cap *driftCapture) {
 		s.logf("serve: model %q drift evaluation failed: %v", m.name, err)
 		return
 	}
-	m.drift.Store(&DriftStatus{Std: rep.PeakStd, Feature: rep.Name, Drifted: rep.Drifted, Seq: cap.seq})
-	ev.evals.Add(1)
-	// evalSeq is published last: a reader that observes evalSeq == seq
-	// also observes the DriftStatus and counters of that evaluation.
-	ev.evalSeq.Store(cap.seq)
+	ev.publish(&DriftStatus{Std: rep.PeakStd, Feature: rep.Name, Drifted: rep.Drifted, Seq: cap.seq})
 	if !rep.Drifted {
 		return
 	}
@@ -200,4 +198,14 @@ func (ev *driftEvaluator) evaluate(cap *driftCapture) {
 		return
 	}
 	s.maybeDriftRetrain(m, snap, st)
+}
+
+// publish makes ds the model's newest completed evaluation. The status
+// pointer is the one publication point: readers take the evaluated
+// sequence and the verdict from a single load, so they always pair, and
+// the counter is bumped first, so a reader that sees ds also sees it
+// counted.
+func (ev *driftEvaluator) publish(ds *DriftStatus) {
+	ev.evals.Add(1)
+	ev.m.drift.Store(ds)
 }

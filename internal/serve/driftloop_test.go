@@ -12,6 +12,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,20 +43,15 @@ func driftBatches(n int, seed uint64) ([][][]float64, [][]int) {
 // at exactly seq.
 func pollEvalSeq(t *testing.T, m *Model, seq int64) {
 	t.Helper()
-	m.driftEvalMu.Lock()
-	ev := m.driftEval
-	m.driftEvalMu.Unlock()
-	if ev == nil {
-		t.Fatal("no drift evaluator after a monitored ingest")
-	}
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if got := ev.evalSeq.Load(); got == seq {
+		ds := m.drift.Load()
+		if (ds == nil && seq == 0) || (ds != nil && ds.Seq == seq) {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("evaluator never reached seq %d (at %d)", seq, ev.evalSeq.Load())
+	t.Fatalf("evaluator never reached seq %d (at %+v)", seq, m.drift.Load())
 }
 
 // TestAsyncDriftOracleBitIdentity is the determinism acceptance test:
@@ -151,9 +148,6 @@ func TestDriftEvalGateSpacing(t *testing.T) {
 	if got := ev.evals.Load(); got != 3 {
 		t.Fatalf("evals = %d, want exactly 3 (gates at 9, 18, 24)", got)
 	}
-	if got := ev.evalSeq.Load(); got != 24 {
-		t.Fatalf("final evalSeq = %d, want 24", got)
-	}
 	if ds := m.drift.Load(); ds == nil || ds.Seq != 24 {
 		t.Fatalf("published drift status %+v, want one at seq 24", ds)
 	}
@@ -240,5 +234,50 @@ func TestDriftEvalSurvivesClientDisconnect(t *testing.T) {
 	pollEvalSeq(t, m, 4)
 	if ds := m.drift.Load(); ds == nil || ds.Seq != 4 {
 		t.Fatalf("drift status %+v, want a completed evaluation at seq 4", ds)
+	}
+}
+
+// TestDriftStatusPairsSeqAndVerdict pins the read side of the drift
+// publication: while an evaluator publishes results that alternate
+// between drifted (odd sequences) and not drifted (even ones), every
+// status read must report the verdict published with the sequence it
+// reports, and count that evaluation.
+func TestDriftStatusPairsSeqAndVerdict(t *testing.T) {
+	s := newTestServer(t, nil)
+	m := s.Model(DefaultModel)
+	ev := &driftEvaluator{s: s, m: m}
+	m.driftEvalMu.Lock()
+	m.driftEval = ev
+	m.driftEvalMu.Unlock()
+
+	const last = 20000
+	var published atomic.Bool
+	var wg sync.WaitGroup
+	for reader := 0; reader < 2; reader++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := false; !done; {
+				done = published.Load()
+				st := m.status()
+				if st.DriftEvalSeq > 0 && st.Drifted != (st.DriftEvalSeq%2 == 1) {
+					t.Errorf("status pairs seq %d with drifted=%v", st.DriftEvalSeq, st.Drifted)
+					return
+				}
+				if st.DriftEvals < st.DriftEvalSeq {
+					t.Errorf("status reports seq %d after %d evaluations", st.DriftEvalSeq, st.DriftEvals)
+					return
+				}
+			}
+		}()
+	}
+	for seq := int64(1); seq <= last; seq++ {
+		ev.publish(&DriftStatus{Drifted: seq%2 == 1, Seq: seq})
+	}
+	published.Store(true)
+	wg.Wait()
+	if st := m.status(); st.DriftEvalSeq != last || st.Drifted || st.DriftEvals != last {
+		t.Fatalf("final status seq %d drifted %v evals %d, want %d false %d",
+			st.DriftEvalSeq, st.Drifted, st.DriftEvals, last, last)
 	}
 }

@@ -46,7 +46,7 @@ func (s *Server) feedbackStore(m *Model) (*feedback.Store, error) {
 	if m.fb != nil {
 		return m.fb, nil
 	}
-	cfg := feedback.Config{CompactEvery: s.cfg.FeedbackCompactEvery, Fault: s.cfg.Fault}
+	cfg := feedback.Config{Fault: s.cfg.Fault}
 	if s.cfg.FeedbackDir != "" {
 		cfg.Dir = filepath.Join(s.cfg.FeedbackDir, m.name)
 	}
@@ -146,13 +146,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, m *Model
 		// client disconnect after the durable append does not cancel
 		// the drift check the rows earned). The ack echoes the newest
 		// completed evaluation.
-		evalSeq, pending := ev.noteIngest(snap, st, req.Rows, req.Labels, seq)
-		if ds := m.drift.Load(); ds != nil {
+		ds, pending := ev.noteIngest(snap, st, req.Rows, req.Labels, seq)
+		if ds != nil {
 			resp.DriftStd = ds.Std
 			resp.DriftFeature = ds.Feature
 			resp.Drifted = ds.Drifted
+			resp.DriftEvalSeq = ds.Seq
 		}
-		resp.DriftEvalSeq = evalSeq
 		resp.DriftPending = pending
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -241,11 +241,9 @@ func (s *Server) runDriftRetrain(m *Model, snap *Snapshot, st *feedback.Store) {
 // AutoML search when the committee shifted too much.
 func (s *Server) warmStartOrFull(ctx context.Context, m *Model, snap *Snapshot, newTrain *data.Dataset, seed uint64) (*automl.Ensemble, error) {
 	ws := core.WarmStartConfig{
-		Feedback:         s.cfg.Feedback,
-		ShiftTolerance:   s.cfg.DriftShiftTolerance,
-		MaxRefitFraction: s.cfg.DriftMaxRefitFraction,
-		RefitSeed:        seed,
-		Workers:          s.cfg.Feedback.Workers,
+		Feedback:  s.cfg.Feedback,
+		RefitSeed: seed,
+		Workers:   s.cfg.Feedback.Workers,
 	}
 	// Reuse the snapshot's interpretation cache for the old-side shift
 	// curves when it is current: /v1/ale and /v1/regions traffic since the

@@ -120,9 +120,6 @@ type Config struct {
 	// evaluate-at-every-batch, matching the seed's per-ingest cadence of
 	// sequence points).
 	DriftEvalEvery int
-	// FeedbackCompactEvery overrides the stores' WAL-records-per-
-	// checkpoint compaction interval (0 keeps the store default).
-	FeedbackCompactEvery int
 	// SnapshotDir is the root directory of the durable model snapshot
 	// store (<SnapshotDir>/<model name>/v*.snap). Empty disables
 	// persistence: models live only behind the atomic pointer and a
@@ -131,12 +128,6 @@ type Config struct {
 	// SnapshotRetain is how many snapshot versions each model keeps on
 	// disk (0 selects the store default of 4, negative keeps all).
 	SnapshotRetain int
-	// DriftShiftTolerance and DriftMaxRefitFraction tune the warm-start
-	// retrain path (zero keeps the core defaults): members whose mean ALE
-	// delta exceeds the tolerance are refitted, and past the fraction the
-	// retrain falls back to a full AutoML search.
-	DriftShiftTolerance   float64
-	DriftMaxRefitFraction float64
 	// Log, when non-nil, receives one line per notable server event
 	// (publishes, degradations, evictions, recovered panics).
 	Log io.Writer
@@ -746,12 +737,12 @@ func (m *Model) status() ModelStatus {
 		st.DriftStd = d.Std
 		st.DriftFeature = d.Feature
 		st.Drifted = d.Drifted
+		st.DriftEvalSeq = d.Seq
 	}
 	m.driftEvalMu.Lock()
 	ev := m.driftEval
 	m.driftEvalMu.Unlock()
 	if ev != nil {
-		st.DriftEvalSeq = ev.evalSeq.Load()
 		st.DriftEvals = ev.evals.Load()
 		st.DriftEvalsCoalesced = ev.coalesced.Load()
 		st.DriftEvalMSTotal = ev.evalNanos.Load() / 1e6
@@ -855,8 +846,8 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 
 // --- schema ---------------------------------------------------------------
 
-// SchemaFeature describes one input feature to clients (loadgen samples
-// rows from these ranges).
+// SchemaFeature describes one input feature to clients (load drivers
+// sample rows from these ranges).
 type SchemaFeature struct {
 	Name    string  `json:"name"`
 	Min     float64 `json:"min"`
