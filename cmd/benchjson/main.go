@@ -2,7 +2,9 @@
 // a machine-readable JSON comparison. It reads a baseline sweep and a
 // current sweep (results/bench_*.txt by default) and writes one JSON
 // document pairing every benchmark's ns/op, B/op and allocs/op across the
-// two, with derived speedup and allocation-reduction factors.
+// two, with derived speedup and allocation-reduction factors. Benchmarks
+// only the baseline has (since deleted) are listed apart, under
+// baseline_only.
 //
 // Usage:
 //
@@ -43,7 +45,7 @@ import (
 
 // version identifies the converter build; bump when the JSON schema
 // changes.
-const version = "alefb-benchjson 0.8.0"
+const version = "alefb-benchjson 0.9.0"
 
 // metrics holds one benchmark line's measurements. Extra carries any
 // custom b.ReportMetric columns (e.g. the serving benchmark's "req/s"
@@ -66,10 +68,15 @@ type entry struct {
 	AllocReduction *float64 `json:"alloc_reduction,omitempty"`
 }
 
+// report is the JSON document. Benchmarks holds every benchmark the
+// current sweep ran; BaselineOnly holds the ones only the frozen
+// baseline has (benchmarks since deleted), which have nothing to compare
+// or gate.
 type report struct {
 	BaselineFile string  `json:"baseline_file"`
 	CurrentFile  string  `json:"current_file"`
 	Benchmarks   []entry `json:"benchmarks"`
+	BaselineOnly []entry `json:"baseline_only,omitempty"`
 }
 
 // benchLine matches one -benchmem output row, e.g.
@@ -303,36 +310,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	names := make(map[string]bool)
-	for n := range base {
-		names[n] = true
-	}
-	for n := range cur {
-		names[n] = true
-	}
-	rep := report{BaselineFile: *baselinePath, CurrentFile: *currentPath}
-	for n := range names {
-		e := entry{Name: n}
-		if m, ok := base[n]; ok {
-			mm := m
-			e.Baseline = &mm
-		}
-		if m, ok := cur[n]; ok {
-			mm := m
-			e.Current = &mm
-		}
-		if e.Baseline != nil && e.Current != nil && e.Current.NsPerOp > 0 {
-			s := round2(e.Baseline.NsPerOp / e.Current.NsPerOp)
-			e.Speedup = &s
-			if e.Current.AllocsPerOp > 0 {
-				a := round2(e.Baseline.AllocsPerOp / e.Current.AllocsPerOp)
-				e.AllocReduction = &a
-			}
-		}
-		rep.Benchmarks = append(rep.Benchmarks, e)
-	}
-	sort.Slice(rep.Benchmarks, func(i, j int) bool { return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name })
-
+	rep := buildReport(base, cur, *baselinePath, *currentPath)
 	j, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -342,7 +320,46 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("benchjson: wrote %s (%d benchmarks)\n", *outPath, len(rep.Benchmarks))
+	fmt.Printf("benchjson: wrote %s (%d benchmarks, %d baseline-only)\n", *outPath, len(rep.Benchmarks), len(rep.BaselineOnly))
+}
+
+// buildReport pairs the two sweeps by benchmark name, sorted by name. A
+// benchmark only the baseline has goes to BaselineOnly.
+func buildReport(base, cur map[string]metrics, basePath, curPath string) report {
+	names := make(map[string]bool)
+	for n := range base {
+		names[n] = true
+	}
+	for n := range cur {
+		names[n] = true
+	}
+	rep := report{BaselineFile: basePath, CurrentFile: curPath}
+	for n := range names {
+		e := entry{Name: n}
+		if m, ok := base[n]; ok {
+			mm := m
+			e.Baseline = &mm
+		}
+		m, ok := cur[n]
+		if !ok {
+			rep.BaselineOnly = append(rep.BaselineOnly, e)
+			continue
+		}
+		e.Current = &m
+		if e.Baseline != nil && e.Current.NsPerOp > 0 {
+			s := round2(e.Baseline.NsPerOp / e.Current.NsPerOp)
+			e.Speedup = &s
+			if e.Current.AllocsPerOp > 0 {
+				a := round2(e.Baseline.AllocsPerOp / e.Current.AllocsPerOp)
+				e.AllocReduction = &a
+			}
+		}
+		rep.Benchmarks = append(rep.Benchmarks, e)
+	}
+	for _, es := range [][]entry{rep.Benchmarks, rep.BaselineOnly} {
+		sort.Slice(es, func(i, j int) bool { return es[i].Name < es[j].Name })
+	}
+	return rep
 }
 
 func round2(v float64) float64 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,5 +95,51 @@ BenchmarkC-2   10     5 ns/op    0 B/op   0 allocs/op
 		if !strings.Contains(got, want) {
 			t.Errorf("summary lacks %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestBaselineOnlyListedApart checks that a benchmark only the baseline
+// has goes to the report's baseline_only list, not into benchmarks as an
+// entry with no current value, and that -check gates the same rows as
+// before: the baseline-only row is neither gated nor noted.
+func TestBaselineOnlyListedApart(t *testing.T) {
+	base := map[string]metrics{
+		"BenchmarkA":       {NsPerOp: 200, AllocsPerOp: 4},
+		"BenchmarkGoneFit": {NsPerOp: 900},
+	}
+	cur := map[string]metrics{
+		"BenchmarkA":   {NsPerOp: 100, AllocsPerOp: 2},
+		"BenchmarkNew": {NsPerOp: 50},
+	}
+	rep := buildReport(base, cur, "base.txt", "cur.txt")
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Name != "BenchmarkA" || rep.Benchmarks[1].Name != "BenchmarkNew" {
+		t.Fatalf("benchmarks = %+v, want BenchmarkA and BenchmarkNew", rep.Benchmarks)
+	}
+	if a := rep.Benchmarks[0]; a.Speedup == nil || *a.Speedup != 2 || a.AllocReduction == nil || *a.AllocReduction != 2 {
+		t.Fatalf("BenchmarkA = %+v, want speedup 2 and alloc reduction 2", a)
+	}
+	if n := rep.Benchmarks[1]; n.Baseline != nil || n.Current == nil || n.Speedup != nil {
+		t.Fatalf("BenchmarkNew = %+v, want a current-only entry", n)
+	}
+	if len(rep.BaselineOnly) != 1 || rep.BaselineOnly[0].Name != "BenchmarkGoneFit" ||
+		rep.BaselineOnly[0].Baseline == nil || rep.BaselineOnly[0].Current != nil {
+		t.Fatalf("baseline_only = %+v, want BenchmarkGoneFit with its baseline only", rep.BaselineOnly)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"baseline_only":[{"name":"BenchmarkGoneFit"`) {
+		t.Fatalf("JSON lacks the baseline_only list: %s", raw)
+	}
+	var back report
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if n := checkRegressions(back, map[string]metrics{"BenchmarkA": {NsPerOp: 140}}, "sweep.txt", 1.30); n != 1 {
+		t.Fatalf("regressions = %d, want 1 (BenchmarkA at 1.4x)", n)
+	}
+	if n := checkRegressions(back, map[string]metrics{"BenchmarkA": {NsPerOp: 100}, "BenchmarkNew": {NsPerOp: 50}}, "sweep.txt", 1.30); n != 0 {
+		t.Fatalf("regressions = %d, want 0", n)
 	}
 }

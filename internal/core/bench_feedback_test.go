@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/netml/alefb/internal/automl"
 	"github.com/netml/alefb/internal/firewall"
 	"github.com/netml/alefb/internal/ml"
 	"github.com/netml/alefb/internal/rng"
@@ -54,6 +55,28 @@ func BenchmarkFeedbackComputeFirewall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ComputeCtx(context.Background(), committee, d, Config{Bins: 32, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRegionsDeployment measures one cold /v1/regions computation on
+// the serving deployment's shapes: serve's seed-1 search committee
+// (budget 24) on the 2000-row firewall bootstrap set, every feature and
+// every class, 32 bins, Workers 1 so the benchmark tracks the sweep's own
+// cost, not pool scaling.
+func BenchmarkRegionsDeployment(b *testing.B) {
+	train := firewall.Generate(2000, rng.Derive(1, 1))
+	ens, err := automl.Run(train, automl.Config{MaxCandidates: 24, Seed: 1, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	models := WithinCommittee(ens)
+	cfg := Config{Bins: 32, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ComputeCtx(context.Background(), models, train, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -137,63 +137,48 @@ func binIndex(edges []float64, v float64) int {
 	return k
 }
 
-// gridScratch holds the preallocated buffers one model's grid evaluation
-// reuses across bins: the perturbed-row matrix, the hi/lo probability
-// matrices (each one contiguous backing array), and the per-row bin index.
-// With these in place the evaluation loop performs zero heap allocations
-// for models with allocation-free batch paths (see the AllocsPerRun test).
+// gridScratch holds the reusable buffers of a grid evaluation. A
+// committee ALE sweep takes one for the feature's binning (bin), which
+// every member then reads, and one per member evaluation for its hi/lo
+// probability matrices; PDP uses rows and hi. Each buffer is sized on
+// first use and re-sliced after (ml.Matrix), so a pooled scratch serves
+// any shape, and with the buffers in place a member evaluation performs
+// zero heap allocations for models with allocation-free batch and pair
+// paths (see the AllocsPerRun tests).
 type gridScratch struct {
-	rows   [][]float64
-	hi, lo [][]float64
-	bins   []int
-	// Dimensions the buffers were built for, checked on pool reuse.
-	n, nf, classes int
+	rows, hi, lo ml.Matrix
+	// bins[i] is row i's bin (1..K); hiEdge[i] and loEdge[i] are that
+	// bin's upper and lower edges, the two values ALE sets the feature of
+	// row i to.
+	bins           []int
+	hiEdge, loEdge []float64
 }
 
-func newGridScratch(n, nf, classes int) *gridScratch {
-	s := &gridScratch{
-		rows: make([][]float64, n),
-		hi:   make([][]float64, n),
-		lo:   make([][]float64, n),
-		bins: make([]int, n),
-		n:    n, nf: nf, classes: classes,
-	}
-	rowBack := make([]float64, n*nf)
-	hiBack := make([]float64, n*classes)
-	loBack := make([]float64, n*classes)
-	for i := 0; i < n; i++ {
-		s.rows[i] = rowBack[i*nf : (i+1)*nf : (i+1)*nf]
-		s.hi[i] = hiBack[i*classes : (i+1)*classes : (i+1)*classes]
-		s.lo[i] = loBack[i*classes : (i+1)*classes : (i+1)*classes]
-	}
-	return s
-}
+// gridPool recycles gridScratch buffers across grid evaluations: tens of
+// kilobytes that would otherwise be reallocated for every model of every
+// committee sweep. Reuse is safe because every evaluation overwrites what
+// it reads first (bins and edges per row, hi/lo fully written by the
+// predicts, rows copied in).
+var gridPool = sync.Pool{New: func() any { return new(gridScratch) }}
 
-// gridPool recycles gridScratch buffers across grid evaluations. A full
-// scratch for n rows is ~3 slice-header arrays plus 3 backing arrays —
-// tens of kilobytes that used to be reallocated for every model of every
-// committee sweep. Reuse is safe because every evaluation overwrites the
-// whole scratch (rows are copied in, hi/lo fully written by the batch
-// predict, bins reassigned per row) before reading it.
-var gridPool sync.Pool
+func getGridScratch() *gridScratch { return gridPool.Get().(*gridScratch) }
 
-// getGridScratch returns a pooled scratch when one with exactly the
-// requested dimensions is available, else builds a fresh one. Committee
-// sweeps and repeated feedback rounds evaluate the same dataset with the
-// same class count, so exact-match reuse covers the steady state without
-// the aliasing subtleties of re-slicing a larger buffer.
-func getGridScratch(n, nf, classes int) *gridScratch {
-	if v := gridPool.Get(); v != nil {
-		s := v.(*gridScratch)
-		if s.n == n && s.nf == nf && s.classes == classes {
-			return s
-		}
+func putGridScratch(s *gridScratch) { gridPool.Put(s) }
+
+// bin assigns every row of X to its bin of edges (binIndex) and records
+// the two edge values the row is evaluated at.
+func (s *gridScratch) bin(X [][]float64, feature int, edges []float64) {
+	n := len(X)
+	if cap(s.bins) < n {
+		s.bins = make([]int, n)
+		s.hiEdge = make([]float64, n)
+		s.loEdge = make([]float64, n)
 	}
-	return newGridScratch(n, nf, classes)
-}
-
-func putGridScratch(s *gridScratch) {
-	gridPool.Put(s)
+	s.bins, s.hiEdge, s.loEdge = s.bins[:n], s.hiEdge[:n], s.loEdge[:n]
+	for i, row := range X {
+		k := binIndex(edges, row[feature])
+		s.bins[i], s.hiEdge[i], s.loEdge[i] = k, edges[k], edges[k-1]
+	}
 }
 
 // probe learns the model's class count from one (allocating) prediction so
@@ -215,16 +200,26 @@ func classRows(rows, cols int) [][]float64 {
 
 // aleOnGrid computes one model's first-order ALE curves of feature on a
 // fixed grid of bin edges, one per entry of classes: values[c] is the
-// curve of classes[c]. Every class reads the same two batch predicts.
+// curve of classes[c]. It bins the rows itself; a committee sweep bins
+// them once for every member and calls aleOnBins.
 func aleOnGrid(model ml.Classifier, d *data.Dataset, feature int, edges []float64, classes []int) [][]float64 {
+	b := getGridScratch()
+	defer putGridScratch(b)
+	b.bin(d.X, feature, edges)
+	return aleOnBins(model, d.X, feature, edges, b, classes)
+}
+
+// aleOnBins is aleOnGrid over rows already binned into b (b.bin with the
+// same X, feature and edges). Every class reads the same pair predict.
+func aleOnBins(model ml.Classifier, X [][]float64, feature int, edges []float64, b *gridScratch, classes []int) [][]float64 {
 	K := len(edges) - 1
 	// values[c][k] first collects the effects of bin k (1-based; index 0
 	// stays zero), then is accumulated into the curve in place.
 	values := classRows(len(classes), K+1)
 	counts := make([]float64, K+1)
-	s := getGridScratch(d.Len(), d.Schema.NumFeatures(), probeClasses(model, d.X[0]))
+	s := getGridScratch()
 	defer putGridScratch(s)
-	aleAccumulate(model, d.X, feature, edges, classes, s, values, counts)
+	aleAccumulate(model, X, feature, b, probeClasses(model, X[0]), classes, s, values, counts)
 
 	for _, v := range values {
 		acc := 0.0
@@ -257,30 +252,21 @@ func aleOnGrid(model ml.Classifier, d *data.Dataset, feature int, edges []float6
 	return values
 }
 
-// aleAccumulate is the steady-state ALE loop: it fills the perturbed-row
-// matrix with every row snapped to its bin's upper edge, batch-predicts,
-// flips the feature column to the lower edges, batch-predicts again, and
-// accumulates the per-bin probability deltas of every requested class
+// aleAccumulate is the steady-state ALE loop: one pair predict evaluates
+// every row of X with the feature at its bin's upper edge and at its
+// lower edge (b.hiEdge, b.loEdge), into s's nc-class hi/lo matrices, and
+// the per-bin probability deltas of every requested class accumulate
 // into sumDelta[c]. Each class accumulates in original row order — the
-// same float addition order as row-at-a-time, one-class evaluation — so
-// results are bit-identical to the pre-batch implementation.
-func aleAccumulate(model ml.Classifier, X [][]float64, feature int, edges []float64, classes []int, s *gridScratch, sumDelta [][]float64, counts []float64) {
-	for i, row := range X {
-		k := binIndex(edges, row[feature])
-		s.bins[i] = k
-		copy(s.rows[i], row)
-		s.rows[i][feature] = edges[k]
-	}
-	ml.PredictProbaBatchInto(model, s.rows, s.hi)
-	for i := range X {
-		s.rows[i][feature] = edges[s.bins[i]-1]
-	}
-	ml.PredictProbaBatchInto(model, s.rows, s.lo)
-	for i := range X {
-		k := s.bins[i]
-		hi, lo := s.hi[i], s.lo[i]
+// same float addition order as row-at-a-time, one-class evaluation — and
+// the pair predict is bit-identical to two batch predicts of the edited
+// rows, so results are bit-identical to the pre-batch implementation.
+func aleAccumulate(model ml.Classifier, X [][]float64, feature int, b *gridScratch, nc int, classes []int, s *gridScratch, sumDelta [][]float64, counts []float64) {
+	hi, lo := s.hi.Rows(len(X), nc), s.lo.Rows(len(X), nc)
+	ml.PredictProbaPairInto(model, X, feature, b.hiEdge, b.loEdge, hi, lo)
+	for i, k := range b.bins {
+		h, l := hi[i], lo[i]
 		for c, class := range classes {
-			sumDelta[c][k] += hi[class] - lo[class]
+			sumDelta[c][k] += h[class] - l[class]
 		}
 		counts[k]++
 	}
@@ -292,18 +278,20 @@ func aleAccumulate(model ml.Classifier, X [][]float64, feature int, edges []floa
 // column before the one batch predict every class reads.
 func pdpOnGrid(model ml.Classifier, d *data.Dataset, feature int, edges []float64, classes []int) [][]float64 {
 	values := classRows(len(classes), len(edges))
-	s := getGridScratch(d.Len(), d.Schema.NumFeatures(), probeClasses(model, d.X[0]))
+	s := getGridScratch()
 	defer putGridScratch(s)
+	rows := s.rows.Rows(d.Len(), d.Schema.NumFeatures())
+	probs := s.hi.Rows(d.Len(), probeClasses(model, d.X[0]))
 	for i, row := range d.X {
-		copy(s.rows[i], row)
+		copy(rows[i], row)
 	}
 	for gi, z := range edges {
-		for i := range s.rows {
-			s.rows[i][feature] = z
+		for i := range rows {
+			rows[i][feature] = z
 		}
-		ml.PredictProbaBatchInto(model, s.rows, s.hi)
-		for i := range s.rows {
-			p := s.hi[i]
+		ml.PredictProbaBatchInto(model, rows, probs)
+		for i := range rows {
+			p := probs[i]
 			for c, class := range classes {
 				values[c][gi] += p[class]
 			}
@@ -395,11 +383,12 @@ func CommitteeCtx(ctx context.Context, models []ml.Classifier, d *data.Dataset, 
 // CommitteeClassesCtx computes the shared-grid committee interpretation
 // of one feature for every class in classes (opt.Class is ignored):
 // out[c] explains the probability of classes[c]. The quantile grid is
-// derived once, and each member runs one sweep — two batch predicts for
-// ALE, one per grid edge for PDP — whose probability rows feed every
-// class. Each class keeps the row-order accumulation of a one-class call,
-// so out[c] is bit-identical to CommitteeCtx with Class classes[c]. All
-// curves share one Grid slice, which callers must not modify.
+// derived once, for ALE the rows are binned once, and each member runs
+// one sweep — one pair predict for ALE, one batch predict per grid edge
+// for PDP — whose probability rows feed every class. Each class keeps
+// the row-order accumulation of a one-class call, so out[c] is
+// bit-identical to CommitteeCtx with Class classes[c]. All curves share
+// one Grid slice, which callers must not modify.
 func CommitteeClassesCtx(ctx context.Context, models []ml.Classifier, d *data.Dataset, feature int, method Method, opt Options, classes []int) ([]CommitteeCurve, error) {
 	opt = opt.withDefaults()
 	if len(models) == 0 {
@@ -415,14 +404,21 @@ func CommitteeClassesCtx(ctx context.Context, models []ml.Classifier, d *data.Da
 	if err != nil {
 		return nil, err
 	}
-	// Every member evaluates the shared grid independently on the worker
-	// pool; curves are committed at the member's index, so PerModel (and
-	// everything derived from it) is identical for any worker count.
+	// For ALE the rows are binned once, and every member reads the shared
+	// binning. Every member evaluates the shared grid independently on the
+	// worker pool; curves are committed at the member's index, so PerModel
+	// (and everything derived from it) is identical for any worker count.
+	var b *gridScratch
+	if method == MethodALE {
+		b = getGridScratch()
+		defer putGridScratch(b)
+		b.bin(d.X, feature, edges)
+	}
 	perModel, err := parallel.MapCtx(ctx, len(models), opt.Workers, func(i int) ([][]float64, error) {
 		if method == MethodPDP {
 			return pdpOnGrid(models[i], d, feature, edges, classes), nil
 		}
-		return aleOnGrid(models[i], d, feature, edges, classes), nil
+		return aleOnBins(models[i], d.X, feature, edges, b, classes), nil
 	})
 	if err != nil {
 		return nil, err

@@ -29,10 +29,10 @@ func (s *stepModel) PredictProbaInto(x, out []float64) {
 	out[0], out[1] = 1-p, p
 }
 
-// TestALEAccumulateZeroAllocs proves the steady-state ALE loop — fill the
-// perturbed-row matrix, two batch predicts, accumulate per-bin deltas —
-// performs zero heap allocations once the gridScratch exists, for a model
-// with an allocation-free batch path (a fitted forest).
+// TestALEAccumulateZeroAllocs proves the steady-state ALE loop — bin the
+// rows, one pair predict, accumulate per-bin deltas — performs zero heap
+// allocations once the gridScratch buffers exist, for a model with an
+// allocation-free pair path (a fitted forest).
 func TestALEAccumulateZeroAllocs(t *testing.T) {
 	r := rng.New(3)
 	d := uniformDataset(400, r)
@@ -44,7 +44,8 @@ func TestALEAccumulateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newGridScratch(d.Len(), d.Schema.NumFeatures(), probeClasses(f, d.X[0]))
+	b, s := new(gridScratch), new(gridScratch)
+	nc := probeClasses(f, d.X[0])
 	classes := []int{0, 1}
 	sumDelta := classRows(len(classes), len(edges))
 	counts := make([]float64, len(edges))
@@ -52,7 +53,8 @@ func TestALEAccumulateZeroAllocs(t *testing.T) {
 		for i := range counts {
 			sumDelta[0][i], sumDelta[1][i], counts[i] = 0, 0, 0
 		}
-		aleAccumulate(f, d.X, 0, edges, classes, s, sumDelta, counts)
+		b.bin(d.X, 0, edges)
+		aleAccumulate(f, d.X, 0, b, nc, classes, s, sumDelta, counts)
 	})
 	if allocs != 0 {
 		t.Errorf("aleAccumulate allocates %.1f objects per run, want 0", allocs)

@@ -26,21 +26,24 @@ func aleOnGridOneClass(model ml.Classifier, d *data.Dataset, feature int, edges 
 	K := len(edges) - 1
 	sumDelta := make([]float64, K+1)
 	counts := make([]float64, K+1)
-	s := newGridScratch(d.Len(), d.Schema.NumFeatures(), probeClasses(model, d.X[0]))
+	nc := probeClasses(model, d.X[0])
+	rows := classRows(d.Len(), d.Schema.NumFeatures())
+	hi, lo := classRows(d.Len(), nc), classRows(d.Len(), nc)
+	bins := make([]int, d.Len())
 	for i, row := range d.X {
 		k := binIndex(edges, row[feature])
-		s.bins[i] = k
-		copy(s.rows[i], row)
-		s.rows[i][feature] = edges[k]
+		bins[i] = k
+		copy(rows[i], row)
+		rows[i][feature] = edges[k]
 	}
-	ml.PredictProbaBatchInto(model, s.rows, s.hi)
+	ml.PredictProbaBatchInto(model, rows, hi)
 	for i := range d.X {
-		s.rows[i][feature] = edges[s.bins[i]-1]
+		rows[i][feature] = edges[bins[i]-1]
 	}
-	ml.PredictProbaBatchInto(model, s.rows, s.lo)
+	ml.PredictProbaBatchInto(model, rows, lo)
 	for i := range d.X {
-		k := s.bins[i]
-		sumDelta[k] += s.hi[i][class] - s.lo[i][class]
+		k := bins[i]
+		sumDelta[k] += hi[i][class] - lo[i][class]
 		counts[k]++
 	}
 	values := make([]float64, K+1)
@@ -73,18 +76,19 @@ func aleOnGridOneClass(model ml.Classifier, d *data.Dataset, feature int, edges 
 // replaced.
 func pdpOnGridOneClass(model ml.Classifier, d *data.Dataset, feature int, edges []float64, class int) []float64 {
 	values := make([]float64, len(edges))
-	s := newGridScratch(d.Len(), d.Schema.NumFeatures(), probeClasses(model, d.X[0]))
+	rows := classRows(d.Len(), d.Schema.NumFeatures())
+	probs := classRows(d.Len(), probeClasses(model, d.X[0]))
 	for i, row := range d.X {
-		copy(s.rows[i], row)
+		copy(rows[i], row)
 	}
 	for gi, z := range edges {
-		for i := range s.rows {
-			s.rows[i][feature] = z
+		for i := range rows {
+			rows[i][feature] = z
 		}
-		ml.PredictProbaBatchInto(model, s.rows, s.hi)
+		ml.PredictProbaBatchInto(model, rows, probs)
 		sum := 0.0
-		for i := range s.rows {
-			sum += s.hi[i][class]
+		for i := range rows {
+			sum += probs[i][class]
 		}
 		values[gi] = sum / float64(d.Len())
 	}

@@ -43,6 +43,11 @@ type AdaBoost struct {
 	classes int
 	trees   []*Tree
 	alphas  []float64
+	// votes[t][off] is the class weak learner t votes for at the leaf
+	// whose payload starts at offset off of its leafProba: the argmax of
+	// that leaf, computed once when the committee is fitted or decoded
+	// (compileVotes) instead of on every predict. Never persisted.
+	votes [][]int32
 }
 
 // NewAdaBoost returns a SAMME AdaBoost classifier.
@@ -146,7 +151,26 @@ func (a *AdaBoost) fitColumns(d *data.Dataset, cols *SortedColumns, r *rng.Rand)
 		a.trees = append(a.trees, tree)
 		a.alphas = append(a.alphas, 1)
 	}
+	a.compileVotes()
 	return nil
+}
+
+// compileVotes builds the votes table from the fitted trees. Each entry
+// is metrics.Argmax of the leaf, the class the predict paths used to
+// derive per row, so every vote, and so every output bit, is unchanged.
+func (a *AdaBoost) compileVotes() {
+	a.votes = make([][]int32, len(a.trees))
+	for t, tree := range a.trees {
+		f := &tree.flat
+		v := make([]int32, len(f.leafProba))
+		for i, ft := range f.feature {
+			if ft < 0 {
+				off := int(f.left[i])
+				v[off] = int32(metrics.Argmax(f.leafProba[off : off+f.k]))
+			}
+		}
+		a.votes[t] = v
+	}
 }
 
 // PredictProba implements Classifier: softmax over the staged votes.
@@ -157,15 +181,18 @@ func (a *AdaBoost) PredictProba(x []float64) []float64 {
 }
 
 // PredictProbaInto implements IntoPredictor: votes accumulate in out, each
-// weak learner's class read straight off its flattened leaf vector.
+// weak learner's class read from the votes table at its leaf.
 func (a *AdaBoost) PredictProbaInto(x, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	for t, tree := range a.trees {
-		out[metrics.Argmax(tree.flat.leafFor(x))] += a.alphas[t]
+		out[a.votes[t][tree.flat.leafOff(x)]] += a.alphas[t]
 	}
-	// Scale votes into a temperatured softmax so probabilities are smooth.
+	voteSoftmax(out)
+}
+
+// voteSoftmax scales a row of accumulated votes into a temperatured
+// softmax so probabilities are smooth.
+func voteSoftmax(out []float64) {
 	total := 0.0
 	for _, v := range out {
 		total += v
@@ -192,31 +219,55 @@ func (a *AdaBoost) PredictProbaBatchInto(X, out [][]float64) {
 	}
 	for t, tree := range a.trees {
 		ft := &tree.flat
-		proba := ft.leafProba
-		k := ft.k
+		vote := a.votes[t]
 		alpha := a.alphas[t]
 		r := 0
 		for ; r+4 <= len(X); r += 4 {
 			o0, o1, o2, o3 := ft.leafOff4(X[r], X[r+1], X[r+2], X[r+3])
-			out[r][metrics.Argmax(proba[o0:int(o0)+k])] += alpha
-			out[r+1][metrics.Argmax(proba[o1:int(o1)+k])] += alpha
-			out[r+2][metrics.Argmax(proba[o2:int(o2)+k])] += alpha
-			out[r+3][metrics.Argmax(proba[o3:int(o3)+k])] += alpha
+			out[r][vote[o0]] += alpha
+			out[r+1][vote[o1]] += alpha
+			out[r+2][vote[o2]] += alpha
+			out[r+3][vote[o3]] += alpha
 		}
 		for ; r < len(X); r++ {
-			out[r][metrics.Argmax(ft.leafFor(X[r]))] += alpha
+			out[r][vote[ft.leafOff(X[r])]] += alpha
 		}
 	}
 	for _, o := range out {
-		total := 0.0
-		for _, v := range o {
-			total += v
+		voteSoftmax(o)
+	}
+}
+
+// predictProbaPairInto implements pairPredictor. Rows go in blocks of
+// four: each weak learner walks a block's rows in lockstep, each row once
+// for both of its versions (pairWalk4), and adds its vote to both
+// output rows. Votes arrive in tree order, so every bit matches
+// PredictProbaInto on the edited rows.
+func (a *AdaBoost) predictProbaPairInto(X [][]float64, feature int, hi, lo []float64, outHi, outLo [][]float64) {
+	if len(X) == 0 {
+		return
+	}
+	var buf pairBuf
+	b := newPairBlock(&buf, len(X[0]))
+	for r := 0; r < len(X); r += 4 {
+		n := b.load(X, r, feature, hi, lo)
+		oh, ol := outHi[r:r+n], outLo[r:r+n]
+		for c := range oh {
+			clear(oh[c])
+			clear(ol[c])
 		}
-		if total > 0 {
-			for i := range o {
-				o[i] = 3 * o[i] / total
+		for t, tree := range a.trees {
+			f := &tree.flat
+			pairWalk4(f.feature, f.threshold, f.left, &b)
+			vote, alpha := a.votes[t], a.alphas[t]
+			for c := range oh {
+				oh[c][vote[f.left[b.ih[c]]]] += alpha
+				ol[c][vote[f.left[b.il[c]]]] += alpha
 			}
 		}
-		softmaxInto(o, o)
+		for c := range oh {
+			voteSoftmax(oh[c])
+			voteSoftmax(ol[c])
+		}
 	}
 }

@@ -21,6 +21,11 @@ type GaussianNB struct {
 	mean     [][]float64 // [class][feature]
 	variance [][]float64 // [class][feature]
 	classes  int
+	// logNorm[c][j] = -0.5*log(2π·variance[c][j]) and twoVar[c][j] =
+	// 2·variance[c][j]: the per-row constants of the log density, derived
+	// once when the model is fitted or decoded (compileNorms). Never
+	// persisted.
+	logNorm, twoVar [][]float64
 }
 
 // NewGaussianNB returns a Gaussian naive Bayes classifier.
@@ -98,7 +103,24 @@ func (g *GaussianNB) Fit(d *data.Dataset, r *rng.Rand) error {
 	for c := 0; c < k; c++ {
 		g.logPrior[0][c] = math.Log((counts[c] + 1) / total)
 	}
+	g.compileNorms()
 	return nil
+}
+
+// compileNorms derives logNorm and twoVar from the variances with the
+// exact expressions PredictProbaInto used to evaluate per row, so every
+// log density, and so every output bit, is unchanged.
+func (g *GaussianNB) compileNorms() {
+	g.logNorm = make([][]float64, len(g.variance))
+	g.twoVar = make([][]float64, len(g.variance))
+	for c, vs := range g.variance {
+		g.logNorm[c] = make([]float64, len(vs))
+		g.twoVar[c] = make([]float64, len(vs))
+		for j, variance := range vs {
+			g.logNorm[c][j] = -0.5 * math.Log(2*math.Pi*variance)
+			g.twoVar[c][j] = 2 * variance
+		}
+	}
 }
 
 // PredictProba implements Classifier.
@@ -113,10 +135,10 @@ func (g *GaussianNB) PredictProba(x []float64) []float64 {
 func (g *GaussianNB) PredictProbaInto(x, out []float64) {
 	for c := 0; c < g.classes; c++ {
 		lp := g.logPrior[0][c]
+		mean, logNorm, twoVar := g.mean[c][:len(x)], g.logNorm[c][:len(x)], g.twoVar[c][:len(x)]
 		for j, v := range x {
-			variance := g.variance[c][j]
-			dlt := v - g.mean[c][j]
-			lp += -0.5*math.Log(2*math.Pi*variance) - dlt*dlt/(2*variance)
+			dlt := v - mean[j]
+			lp += logNorm[j] - dlt*dlt/twoVar[j]
 		}
 		out[c] = lp
 	}

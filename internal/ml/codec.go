@@ -299,6 +299,14 @@ func DecodeModel(r *wire.Reader) (Classifier, error) {
 	if err := checkModel(c); err != nil {
 		return nil, fmt.Errorf("ml: decode model: %w", err)
 	}
+	// The derived predict tables are rebuilt here, never read from the
+	// snapshot, and only after checkModel has proved the shapes they index.
+	switch m := c.(type) {
+	case *AdaBoost:
+		m.compileVotes()
+	case *GaussianNB:
+		m.compileNorms()
+	}
 	return c, nil
 }
 

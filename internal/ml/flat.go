@@ -94,12 +94,19 @@ func countTree(n *treeNode) (nodes, leaves int) {
 // node's feature is loaded once, which the compiler turns into a tight
 // register loop.
 func (f *flatTree) leafFor(x []float64) []float64 {
+	off := int(f.leafOff(x))
+	return f.leafProba[off : off+f.k]
+}
+
+// leafOff walks the flattened tree and returns the leaf's payload offset
+// into leafProba.
+func (f *flatTree) leafOff(x []float64) int32 {
 	feature, threshold, left := f.feature, f.threshold, f.left
 	i := int32(0)
 	for {
 		ft := feature[i]
 		if ft < 0 {
-			break
+			return left[i]
 		}
 		// Branchless child select: b compiles to a conditional move, so the
 		// data-dependent 50/50 split direction never mispredicts. The
@@ -110,8 +117,6 @@ func (f *flatTree) leafFor(x []float64) []float64 {
 		}
 		i = left[i] + b
 	}
-	off := int(left[i])
-	return f.leafProba[off : off+f.k]
 }
 
 // leafOff4 walks four rows through the tree simultaneously and returns
@@ -160,6 +165,107 @@ func (f *flatTree) leafOff4(x0, x1, x2, x3 []float64) (o0, o1, o2, o3 int32) {
 		if done {
 			return left[i0], left[i1], left[i2], left[i3]
 		}
+	}
+}
+
+// pairWalk4 walks the four rows of a block through a flattened tree
+// (classification or regression: both share the feature/threshold/left
+// layout), each for both of its versions, and stores in b.ih and b.il the
+// leaf node each version reaches. The walk is leafOff4's on the hi
+// versions, with one more test per node: the lo version's value against
+// the same threshold. The two tests differ only at a node on the edited
+// column whose threshold the two values fall on opposite sides of; until
+// a row meets one, both of its versions take the same path, so a row
+// that never does has one leaf for both. A row that does (its bit in p)
+// walks its lo version again alone. Every node tests the same value
+// against the same threshold with the same <= test as leafOff on the
+// edited row, NaN included (it goes right), so both leaves are the ones
+// leafOff reaches on the edited rows.
+func pairWalk4(feature []int32, threshold []float64, left []int32, b *pairBlock) {
+	r0, r1, r2, r3 := b.rows[0], b.rows[1], b.rows[2], b.rows[3]
+	var i0, i1, i2, i3 int32
+	var p uint32
+	for {
+		done := true
+		if ft := feature[i0]; ft >= 0 {
+			thr, j := threshold[i0], 2*int(ft)
+			bh, bl := int32(1), int32(1)
+			if r0[j] <= thr {
+				bh = 0
+			}
+			if r0[j+1] <= thr {
+				bl = 0
+			}
+			p |= uint32(bh^bl) << 0
+			i0 = left[i0] + bh
+			done = false
+		}
+		if ft := feature[i1]; ft >= 0 {
+			thr, j := threshold[i1], 2*int(ft)
+			bh, bl := int32(1), int32(1)
+			if r1[j] <= thr {
+				bh = 0
+			}
+			if r1[j+1] <= thr {
+				bl = 0
+			}
+			p |= uint32(bh^bl) << 1
+			i1 = left[i1] + bh
+			done = false
+		}
+		if ft := feature[i2]; ft >= 0 {
+			thr, j := threshold[i2], 2*int(ft)
+			bh, bl := int32(1), int32(1)
+			if r2[j] <= thr {
+				bh = 0
+			}
+			if r2[j+1] <= thr {
+				bl = 0
+			}
+			p |= uint32(bh^bl) << 2
+			i2 = left[i2] + bh
+			done = false
+		}
+		if ft := feature[i3]; ft >= 0 {
+			thr, j := threshold[i3], 2*int(ft)
+			bh, bl := int32(1), int32(1)
+			if r3[j] <= thr {
+				bh = 0
+			}
+			if r3[j+1] <= thr {
+				bl = 0
+			}
+			p |= uint32(bh^bl) << 3
+			i3 = left[i3] + bh
+			done = false
+		}
+		if done {
+			break
+		}
+	}
+	b.ih = [4]int32{i0, i1, i2, i3}
+	b.il = b.ih
+	for c := 0; p != 0; c, p = c+1, p>>1 {
+		if p&1 != 0 {
+			b.il[c] = walkOdd(feature, threshold, left, b.rows[c])
+		}
+	}
+}
+
+// walkOdd walks the lo version of a pairBlock row (its odd entries) from
+// the root with leafOff's child select and returns the leaf node.
+func walkOdd(feature []int32, threshold []float64, left []int32, r []float64) int32 {
+	i := int32(0)
+	for {
+		ft := feature[i]
+		if ft < 0 {
+			return i
+		}
+		b := int32(1)
+		if r[2*int(ft)+1] <= threshold[i] {
+			b = 0
+		}
+		i = left[i] + b
 	}
 }
 

@@ -172,3 +172,42 @@ func (f *Forest) PredictProbaBatchInto(X, out [][]float64) {
 		f.PredictProbaInto(X[r], out[r])
 	}
 }
+
+// predictProbaPairInto implements pairPredictor with the batch path's
+// 4-row blocking: each tree walks a block's four rows in lockstep, each
+// row once for both of its versions (pairWalk4). Both output rows of a
+// row accumulate their leaves in tree order and normalize exactly as
+// PredictProbaInto does on the edited rows, so every bit matches.
+func (f *Forest) predictProbaPairInto(X [][]float64, feature int, hi, lo []float64, outHi, outLo [][]float64) {
+	if len(X) == 0 {
+		return
+	}
+	var buf pairBuf
+	b := newPairBlock(&buf, len(X[0]))
+	for r := 0; r < len(X); r += 4 {
+		n := b.load(X, r, feature, hi, lo)
+		oh, ol := outHi[r:r+n], outLo[r:r+n]
+		for c := range oh {
+			clear(oh[c])
+			clear(ol[c])
+		}
+		for _, t := range f.trees {
+			ft := &t.flat
+			pairWalk4(ft.feature, ft.threshold, ft.left, &b)
+			for c := range oh {
+				o, p := oh[c], ft.leafProba[ft.left[b.ih[c]]:]
+				for i := range o {
+					o[i] += p[i]
+				}
+				o, p = ol[c], ft.leafProba[ft.left[b.il[c]]:]
+				for i := range o {
+					o[i] += p[i]
+				}
+			}
+		}
+		for c := range oh {
+			normalize(oh[c])
+			normalize(ol[c])
+		}
+	}
+}

@@ -179,6 +179,43 @@ func (g *GBDT) PredictProbaBatchInto(X, out [][]float64) {
 	}
 }
 
+// predictProbaPairInto implements pairPredictor with the batch path's
+// 4-row blocking: each regression tree walks a block's four rows in
+// lockstep, each row once for both of its versions (pairWalk4). Both
+// score rows of a row accumulate in (round, class) order before their
+// softmax, as PredictProbaInto does on the edited rows, so every bit
+// matches.
+func (g *GBDT) predictProbaPairInto(X [][]float64, feature int, hi, lo []float64, outHi, outLo [][]float64) {
+	lr := g.Config.LearningRate
+	if len(X) == 0 {
+		return
+	}
+	var buf pairBuf
+	b := newPairBlock(&buf, len(X[0]))
+	for r := 0; r < len(X); r += 4 {
+		n := b.load(X, r, feature, hi, lo)
+		oh, ol := outHi[r:r+n], outLo[r:r+n]
+		for c := range oh {
+			copy(oh[c], g.base)
+			copy(ol[c], g.base)
+		}
+		for _, trees := range g.rounds {
+			for k, t := range trees {
+				f := &t.flat
+				pairWalk4(f.feature, f.threshold, f.left, &b)
+				for c := range oh {
+					oh[c][k] += lr * f.threshold[b.ih[c]]
+					ol[c][k] += lr * f.threshold[b.il[c]]
+				}
+			}
+		}
+		for c := range oh {
+			softmaxInto(oh[c], oh[c])
+			softmaxInto(ol[c], ol[c])
+		}
+	}
+}
+
 // softmaxInto writes softmax(scores) into out (same length).
 func softmaxInto(scores, out []float64) {
 	maxS := math.Inf(-1)

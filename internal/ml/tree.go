@@ -119,6 +119,26 @@ func (t *Tree) PredictProbaBatchInto(X, out [][]float64) {
 	}
 }
 
+// predictProbaPairInto implements pairPredictor: each block of four rows
+// walks the tree once for both versions of every row (pairWalk4).
+func (t *Tree) predictProbaPairInto(X [][]float64, feature int, hi, lo []float64, outHi, outLo [][]float64) {
+	if len(X) == 0 {
+		return
+	}
+	f := &t.flat
+	var buf pairBuf
+	b := newPairBlock(&buf, len(X[0]))
+	for r := 0; r < len(X); r += 4 {
+		n := b.load(X, r, feature, hi, lo)
+		pairWalk4(f.feature, f.threshold, f.left, &b)
+		for c := 0; c < n; c++ {
+			oh, ol := int(f.left[b.ih[c]]), int(f.left[b.il[c]])
+			copy(outHi[r+c], f.leafProba[oh:oh+f.k])
+			copy(outLo[r+c], f.leafProba[ol:ol+f.k])
+		}
+	}
+}
+
 func (t *Tree) leaf(d *data.Dataset, rows []int32, s *splitScratch) *treeNode {
 	proba := s.newProba(t.nClasses)
 	w := s.ps.w

@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"sync"
 	"testing"
 
 	"github.com/netml/alefb/internal/wire"
@@ -76,6 +77,11 @@ func predictionHash(ens *Ensemble, X [][]float64) string {
 		out[i] = make([]float64, ens.NumClasses)
 	}
 	ens.PredictProbaBatchInto(X, out)
+	return probaHash(out)
+}
+
+// probaHash is the SHA-256 of the Float64bits of a probability matrix.
+func probaHash(out [][]float64) string {
 	h := sha256.New()
 	var b [8]byte
 	for _, row := range out {
@@ -104,6 +110,40 @@ func TestHistEraSnapshotPredicts(t *testing.T) {
 	}
 	if got := predictionHash(ens, confusableDataset(100, 102).X); got != histEraPredictions {
 		t.Fatalf("prediction hash %s, want %s", got, histEraPredictions)
+	}
+}
+
+// TestHistEraConcurrentFirstPredicts loads the histogram-era snapshot
+// afresh and makes its first predicts from four goroutines at once, two
+// on the batch path and two row by row: every one must hash to
+// histEraPredictions. Its AdaBoost members vote through tables that
+// DecodeModel builds, never lazily on a first predict, so under -race
+// this also shows that first predicts write no model state.
+func TestHistEraConcurrentFirstPredicts(t *testing.T) {
+	ens, _ := loadHistEra(t)
+	X := confusableDataset(100, 102).X
+	hashes := make([]string, 4)
+	var wg sync.WaitGroup
+	for g := range hashes {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				hashes[g] = predictionHash(ens, X)
+				return
+			}
+			out := make([][]float64, len(X))
+			for i, x := range X {
+				out[i] = ens.PredictProba(x)
+			}
+			hashes[g] = probaHash(out)
+		}(g)
+	}
+	wg.Wait()
+	for g, h := range hashes {
+		if h != histEraPredictions {
+			t.Errorf("goroutine %d: prediction hash %s, want %s", g, h, histEraPredictions)
+		}
 	}
 }
 
