@@ -6,7 +6,76 @@ import (
 	"testing"
 
 	"github.com/netml/alefb/internal/automl"
+	"github.com/netml/alefb/internal/testutil"
 )
+
+// The goldens below pin each reduced-scale result bit for bit: the
+// SHA-256 of the Float64bits of every number the result carries, in the
+// order the helpers below add them. A change to the emulator, the
+// baselines, the priors or the statistics that moves any reported
+// number moves its hash.
+const (
+	table1Golden           = "4a80ea2b5bf084d93ac8d1a3b36a9b769f72916ae43b9a65db1a7becdf570388"
+	uclGolden              = "dcfb77560890cf4c978d8cfa1ab18e52d52ccae023c1da8abae846cf54757555"
+	figure1Golden          = "b4861159b613d7af23a2888037a09142b6bba2f98308c8ed951fdd88f5f91195"
+	figure2Golden          = "c27f5bd69933ddfeda1308f94dcfdcaf739b90c5a8ef763717079b02eaaf69b1"
+	thresholdGolden        = "b593c26120c06c5ab24890d9b007c655e4d7da5cbbdc1b68f0e456e4f99a0da6"
+	ablationPriorsGolden   = "4e59a7fd532afbcca78d5cdf987d4c6cb62bfe923e74be3f39a7cf9ddbaed3cf"
+	ablationDisagreeGolden = "1861acbf6fab6d0da119ede1b6fe187a907881c23c4f597aebb366c59a22f504"
+)
+
+func checkGolden(t *testing.T, what, got, want string) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s sha256 = %s, want %s", what, got, want)
+	}
+}
+
+func table1Hash(res *Table1Result) string {
+	h := testutil.NewFloatHash()
+	for _, row := range res.Rows {
+		h.Add(row.Accuracies...)
+		h.Add(row.Mean, row.Std, row.PvsNoFeedback, row.PvsWithin, row.PvsCross, row.MeanPointsAdded)
+	}
+	return h.Sum()
+}
+
+func uclHash(res *UCLResult) string {
+	h := testutil.NewFloatHash()
+	for _, row := range res.Rows {
+		h.Add(row.Accuracies...)
+		h.Add(row.Mean, row.Std, row.PvsNoFeedback, row.MeanPointsAdded)
+	}
+	return h.Sum()
+}
+
+func addFigure(h *testutil.FloatHash, fig *FigureResult) {
+	a := &fig.Analysis
+	h.Add(float64(a.Feature), float64(a.DominantClass), a.PeakStd, a.Threshold, fig.Threshold)
+	h.Add(a.Grid...)
+	h.Add(a.Std...)
+	h.Add(a.Mean...)
+	for _, iv := range a.Intervals {
+		h.Add(iv.Lo, iv.Hi)
+	}
+}
+
+func thresholdHash(res *ThresholdResult) string {
+	h := testutil.NewFloatHash()
+	for _, p := range res.Points {
+		h.Add(p.Quantile, p.Threshold, float64(p.FlaggedFeatures), p.RegionFraction, float64(p.PoolHits))
+	}
+	h.Add(res.MedianThreshold)
+	return h.Sum()
+}
+
+func ablationHash(res *AblationResult) string {
+	h := testutil.NewFloatHash()
+	for _, row := range res.Rows {
+		h.Add(row.Mean, row.Std, row.Extra)
+	}
+	return h.Sum()
+}
 
 // tinyScream is a minimal-but-complete Table-1 configuration for tests.
 func tinyScream() ScreamConfig {
@@ -78,6 +147,7 @@ func TestRunTable1Complete(t *testing.T) {
 			t.Fatalf("table missing %q:\n%s", alg, text)
 		}
 	}
+	checkGolden(t, "table1", table1Hash(res), table1Golden)
 }
 
 func TestRunUCLComplete(t *testing.T) {
@@ -109,6 +179,7 @@ func TestRunUCLComplete(t *testing.T) {
 	if !strings.Contains(res.String(), "firewall") {
 		t.Fatal("summary missing dataset name")
 	}
+	checkGolden(t, "ucl", uclHash(res), uclGolden)
 }
 
 func TestRunFigure1Shape(t *testing.T) {
@@ -136,6 +207,9 @@ func TestRunFigure1Shape(t *testing.T) {
 	if !strings.Contains(svg, "<svg") {
 		t.Fatal("svg broken")
 	}
+	h := testutil.NewFloatHash()
+	addFigure(h, fig)
+	checkGolden(t, "figure1", h.Sum(), figure1Golden)
 }
 
 func TestRunFigure2Shape(t *testing.T) {
@@ -157,6 +231,10 @@ func TestRunFigure2Shape(t *testing.T) {
 	if fig.SrcPort.Regions() == "" || fig.DstPort.Regions() == "" {
 		t.Fatal("Regions() empty string")
 	}
+	h := testutil.NewFloatHash()
+	addFigure(h, fig.SrcPort)
+	addFigure(h, fig.DstPort)
+	checkGolden(t, "figure2", h.Sum(), figure2Golden)
 }
 
 func TestRunThresholdSweepMonotone(t *testing.T) {
@@ -182,6 +260,7 @@ func TestRunThresholdSweepMonotone(t *testing.T) {
 	if !strings.Contains(res.String(), "quantile") {
 		t.Fatal("summary malformed")
 	}
+	checkGolden(t, "threshold sweep", thresholdHash(res), thresholdGolden)
 }
 
 func TestAblationPriors(t *testing.T) {
@@ -201,6 +280,7 @@ func TestAblationPriors(t *testing.T) {
 			t.Fatalf("%s mean %v", row.Name, row.Mean)
 		}
 	}
+	checkGolden(t, "priors ablation", ablationHash(res), ablationPriorsGolden)
 }
 
 func TestSeqHelper(t *testing.T) {
@@ -251,6 +331,7 @@ func TestAblationDisagreementShape(t *testing.T) {
 	if !strings.Contains(res.String(), "disagreement measure") {
 		t.Fatal("title wrong")
 	}
+	checkGolden(t, "disagreement ablation", ablationHash(res), ablationDisagreeGolden)
 }
 
 func TestAblationCrossRunsShape(t *testing.T) {

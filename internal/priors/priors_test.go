@@ -8,6 +8,7 @@ import (
 	"github.com/netml/alefb/internal/metrics"
 	"github.com/netml/alefb/internal/ml"
 	"github.com/netml/alefb/internal/rng"
+	"github.com/netml/alefb/internal/testutil"
 )
 
 func TestInvertSPDIdentity(t *testing.T) {
@@ -182,15 +183,21 @@ func TestConstrainedGaussianStillLearnsCorrelatedData(t *testing.T) {
 	}
 }
 
+// TestGaussianProbabilitiesValid checks that probabilities are a
+// distribution, and pins them bit for bit: want is the SHA-256 over their
+// Float64bits, so a change to the shrinkage or the inversion moves it.
 func TestGaussianProbabilitiesValid(t *testing.T) {
+	const want = "aaf5284b73f2934471fcfad0fc83b7bf63cdc03926334bf689c60c19307f8030"
 	r := rng.New(4)
 	train := correlatedBlobs(200, 0.4, r)
 	g := NewGaussian()
 	if err := g.Fit(train, r); err != nil {
 		t.Fatal(err)
 	}
+	h := testutil.NewFloatHash()
 	for i := 0; i < 50; i++ {
 		p := g.PredictProba([]float64{r.Uniform(-5, 5), r.Uniform(-5, 5)})
+		h.Add(p...)
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 || math.IsNaN(v) {
@@ -201,6 +208,9 @@ func TestGaussianProbabilitiesValid(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("proba sums to %v", sum)
 		}
+	}
+	if got := h.Sum(); got != want {
+		t.Errorf("probabilities sha256 = %s, want %s", got, want)
 	}
 }
 

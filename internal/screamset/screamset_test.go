@@ -6,6 +6,7 @@ import (
 
 	"github.com/netml/alefb/internal/netsim"
 	"github.com/netml/alefb/internal/rng"
+	"github.com/netml/alefb/internal/testutil"
 )
 
 func fastGen(seed uint64) *Generator {
@@ -157,19 +158,52 @@ func TestLabelsAreMixed(t *testing.T) {
 	}
 }
 
+// TestGenerate checks Generate's shape and pins its output bit for bit:
+// want is the SHA-256 over the Float64bits of every row value and label,
+// then of every protocol's emulation result on each row, so any change to
+// the emulator or the controllers moves the hash even where no label
+// flips. The second case labels with measurement noise on.
 func TestGenerate(t *testing.T) {
-	g := fastGen(19)
-	r := rng.New(23)
-	d := g.Generate(15, r)
-	if d.Len() != 15 {
-		t.Fatalf("generated %d rows", d.Len())
-	}
-	for i, row := range d.X {
-		if len(row) != numFeatures {
-			t.Fatalf("row %d has %d features", i, len(row))
+	for _, tc := range []struct {
+		gen, draw uint64
+		noise     bool
+		want      string
+	}{
+		{19, 23, false, "73d8b841b8b5dd19628d4d122de725980392c9df0db3c996551c5b9837954688"},
+		{37, 41, true, "aee0c13cd405e6a24ad9bb2994f8c82925d0e47d89f9a4f8e2c27b8962e4600f"},
+	} {
+		g := fastGen(tc.gen)
+		g.MeasurementNoise = tc.noise
+		d := g.Generate(15, rng.New(tc.draw))
+		if d.Len() != 15 {
+			t.Fatalf("generated %d rows", d.Len())
 		}
-		if d.Y[i] != LabelOther && d.Y[i] != LabelScream {
-			t.Fatalf("row %d label %d", i, d.Y[i])
+		h := testutil.NewFloatHash()
+		for i, row := range d.X {
+			if len(row) != numFeatures {
+				t.Fatalf("row %d has %d features", i, len(row))
+			}
+			if d.Y[i] != LabelOther && d.Y[i] != LabelScream {
+				t.Fatalf("row %d label %d", i, d.Y[i])
+			}
+			h.Add(row...)
+			h.Add(float64(d.Y[i]))
+		}
+		for _, row := range d.X {
+			_, results, err := g.Evaluate(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pr := range results {
+				res := pr.Result
+				h.Add(res.TotalThroughputMbps, res.MeanOWDMs, res.P95OWDMs, res.LossRate, res.FairnessIndex)
+				for _, f := range res.PerFlow {
+					h.Add(f.ThroughputMbps, f.MeanOWDMs, f.P95OWDMs, f.MeanRTTMs, float64(f.Delivered), float64(f.Losses))
+				}
+			}
+		}
+		if got := h.Sum(); got != tc.want {
+			t.Errorf("Generate(gen %d, draw %d) sha256 = %s, want %s", tc.gen, tc.draw, got, tc.want)
 		}
 	}
 }

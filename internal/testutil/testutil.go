@@ -5,6 +5,11 @@
 package testutil
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -40,3 +45,25 @@ func LeakCheck(tb testing.TB) func() {
 		}
 	}
 }
+
+// FloatHash is a SHA-256 over the little-endian IEEE-754 bits of every
+// value added to it, in order. A golden of its Sum pins a result bit for
+// bit, NaN payloads and signed zeros included.
+type FloatHash struct {
+	h hash.Hash
+	b [8]byte
+}
+
+// NewFloatHash returns an empty FloatHash.
+func NewFloatHash() *FloatHash { return &FloatHash{h: sha256.New()} }
+
+// Add appends vs to the hash.
+func (f *FloatHash) Add(vs ...float64) {
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(f.b[:], math.Float64bits(v))
+		f.h.Write(f.b[:])
+	}
+}
+
+// Sum returns the hex digest of everything added so far.
+func (f *FloatHash) Sum() string { return hex.EncodeToString(f.h.Sum(nil)) }
