@@ -1,7 +1,7 @@
 // Package active implements the feedback baselines the paper compares
 // against in Table 1: uniform sampling, confidence-based (least-confidence)
 // active learning, query-by-committee (QBC) with prediction entropy, and
-// upsampling (random oversampling and SMOTE) for label imbalance.
+// SMOTE upsampling for label imbalance.
 //
 // The pool-based methods mirror the paper's setup: they can only *score*
 // points from a provided unlabeled candidate pool, whereas the ALE
@@ -92,73 +92,27 @@ func LeastConfidence(model ml.Classifier, pool [][]float64, n int) []int {
 	return topN(scored, n)
 }
 
-// MarginSampling scores every pool row by the (negated) margin between
-// the two most probable classes under the model and returns the n rows
-// with the smallest margins — another classic uncertainty-sampling
-// strategy from the survey the paper cites [Settles 2009].
-func MarginSampling(model ml.Classifier, pool [][]float64, n int) []int {
-	scored := make([]scoredIndex, len(pool))
-	for i, x := range pool {
-		p := model.PredictProba(x)
-		best, second := -1.0, -1.0
-		for _, v := range p {
-			if v > best {
-				best, second = v, best
-			} else if v > second {
-				second = v
-			}
-		}
-		scored[i] = scoredIndex{idx: i, score: -(best - second)}
-	}
-	return topN(scored, n)
-}
-
-// QBCMode selects the disagreement measure for query-by-committee.
-type QBCMode int
-
-const (
-	// QBCVoteEntropy uses the entropy of the committee's hard votes —
-	// the classic formulation [Seung et al.].
-	QBCVoteEntropy QBCMode = iota
-	// QBCSoftEntropy uses the entropy of the averaged class
-	// probabilities (consensus entropy).
-	QBCSoftEntropy
-)
-
-// QBC scores every pool row by committee disagreement and returns the
-// indices of the n most-contested rows. The committee is the AutoML
-// ensemble's models, as §2.2 proposes. This is the method the paper's
-// ALE-variance feedback modifies: same committee, different disagreement
-// measure, and crucially a per-point score rather than an interpretable
-// region.
-func QBC(committee []ml.Classifier, pool [][]float64, n int, mode QBCMode) []int {
+// QBC scores every pool row by the entropy of the committee's hard votes
+// [Seung et al.] and returns the indices of the n most-contested rows.
+// The committee is the AutoML ensemble's models, as §2.2 proposes. This
+// is the method the paper's ALE-variance feedback modifies: same
+// committee, different disagreement measure, and crucially a per-point
+// score rather than an interpretable region.
+func QBC(committee []ml.Classifier, pool [][]float64, n int) []int {
 	if len(committee) == 0 || len(pool) == 0 {
 		return nil
 	}
 	k := len(committee[0].PredictProba(pool[0]))
 	scored := make([]scoredIndex, len(pool))
 	votes := make([]float64, k)
-	avg := make([]float64, k)
 	for i, x := range pool {
 		for j := range votes {
 			votes[j] = 0
-			avg[j] = 0
 		}
 		for _, m := range committee {
-			p := m.PredictProba(x)
-			votes[metrics.Argmax(p)]++
-			for j, v := range p {
-				avg[j] += v
-			}
+			votes[metrics.Argmax(m.PredictProba(x))]++
 		}
-		var score float64
-		switch mode {
-		case QBCSoftEntropy:
-			score = entropy(avg)
-		default:
-			score = entropy(votes)
-		}
-		scored[i] = scoredIndex{idx: i, score: score}
+		scored[i] = scoredIndex{idx: i, score: entropy(votes)}
 	}
 	return topN(scored, n)
 }
@@ -181,25 +135,6 @@ func entropy(counts []float64) float64 {
 		h -= p * math.Log(p)
 	}
 	return h
-}
-
-// Oversample generates n synthetic minority-class rows by resampling
-// (duplicate rows from under-represented classes) so that adding them
-// moves the training set toward class balance. Classes are drawn inverse-
-// proportionally to their current frequency.
-func Oversample(train *data.Dataset, n int, r *rng.Rand) *data.Dataset {
-	out := data.New(train.Schema)
-	byClass := rowsByClass(train)
-	weights := inverseFrequency(train, byClass)
-	for i := 0; i < n; i++ {
-		c := r.Weighted(weights)
-		if len(byClass[c]) == 0 {
-			continue
-		}
-		src := byClass[c][r.Intn(len(byClass[c]))]
-		out.Append(append([]float64(nil), train.X[src]...), c)
-	}
-	return out
 }
 
 // SMOTE generates n synthetic minority-class rows by interpolating between

@@ -127,7 +127,7 @@ func TestQBCVoteEntropyPicksDisagreement(t *testing.T) {
 	for i := range pool {
 		pool[i] = []float64{float64(i) / 100, 0}
 	}
-	idx := QBC(committee, pool, 10, QBCVoteEntropy)
+	idx := QBC(committee, pool, 10)
 	for _, i := range idx {
 		x := pool[i][0]
 		if x <= 0.4 || x > 0.6 {
@@ -136,31 +136,11 @@ func TestQBCVoteEntropyPicksDisagreement(t *testing.T) {
 	}
 }
 
-func TestQBCSoftEntropy(t *testing.T) {
-	committee := []ml.Classifier{stepAt(0.4), stepAt(0.6)}
-	pool := make([][]float64, 101)
-	for i := range pool {
-		pool[i] = []float64{float64(i) / 100, 0}
-	}
-	idx := QBC(committee, pool, 10, QBCSoftEntropy)
-	if len(idx) != 10 {
-		t.Fatalf("returned %d", len(idx))
-	}
-	// Soft entropy is maximized where the average probability is closest
-	// to 0.5, i.e. between the cuts.
-	for _, i := range idx {
-		x := pool[i][0]
-		if x <= 0.35 || x > 0.65 {
-			t.Fatalf("soft QBC picked x0=%v", x)
-		}
-	}
-}
-
 func TestQBCEmpty(t *testing.T) {
-	if QBC(nil, [][]float64{{1}}, 5, QBCVoteEntropy) != nil {
+	if QBC(nil, [][]float64{{1}}, 5) != nil {
 		t.Fatal("empty committee should return nil")
 	}
-	if QBC([]ml.Classifier{&confModel{}}, nil, 5, QBCVoteEntropy) != nil {
+	if QBC([]ml.Classifier{&confModel{}}, nil, 5) != nil {
 		t.Fatal("empty pool should return nil")
 	}
 }
@@ -188,32 +168,6 @@ func imbalanced(r *rng.Rand) *data.Dataset {
 		d.Append([]float64{0.5 + r.Float64()*0.5, float64(r.Intn(100))}, 1)
 	}
 	return d
-}
-
-func TestOversampleTargetsMinority(t *testing.T) {
-	r := rng.New(3)
-	d := imbalanced(r)
-	add := Oversample(d, 100, r)
-	counts := add.ClassCounts()
-	if counts[1] < 95 {
-		t.Fatalf("oversample added %v, want almost all minority", counts)
-	}
-	// Every synthetic row must equal an existing minority row.
-	for i, row := range add.X {
-		if add.Y[i] != 1 {
-			continue
-		}
-		found := false
-		for j, orig := range d.X {
-			if d.Y[j] == 1 && orig[0] == row[0] && orig[1] == row[1] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("oversampled row %v not in original data", row)
-		}
-	}
 }
 
 func TestSMOTEInterpolates(t *testing.T) {
@@ -277,10 +231,10 @@ func TestBalancedDataUniformWeights(t *testing.T) {
 		d.Append([]float64{r.Float64(), 1}, 0)
 		d.Append([]float64{r.Float64(), 1}, 1)
 	}
-	add := Oversample(d, 200, r)
+	add := SMOTE(d, 200, 5, r)
 	counts := add.ClassCounts()
 	if counts[0] == 0 || counts[1] == 0 {
-		t.Fatalf("balanced oversample starved a class: %v", counts)
+		t.Fatalf("balanced SMOTE starved a class: %v", counts)
 	}
 }
 

@@ -86,7 +86,7 @@ func RunAblationDisagreement(cfg ScreamConfig, progress io.Writer) (*AblationRes
 				return add, err
 			}},
 			{"prediction entropy (QBC)", func() (*data.Dataset, error) {
-				idx := active.QBC(committee, pool, cfg.FeedbackN, active.QBCVoteEntropy)
+				idx := active.QBC(committee, pool, cfg.FeedbackN)
 				add := data.New(train.Schema)
 				for _, i := range idx {
 					add.Append(pool[i], gen.Label(pool[i]))

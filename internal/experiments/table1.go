@@ -219,7 +219,7 @@ func RunTable1Ctx(ctx context.Context, cfg ScreamConfig, opts RunOptions, progre
 		augment[AlgCrossALE] = suggest(cross)
 		augment[AlgUniform] = algResult{add: active.Uniform(train.Schema, cfg.FeedbackN, repGen, repRand.Split())}
 		augment[AlgConfidence] = labelled(active.LeastConfidence(base, pool, cfg.FeedbackN))
-		augment[AlgQBC] = labelled(active.QBC(within, pool, cfg.FeedbackN, active.QBCVoteEntropy))
+		augment[AlgQBC] = labelled(active.QBC(within, pool, cfg.FeedbackN))
 		augment[AlgUpsampling] = algResult{add: active.SMOTE(train, cfg.FeedbackN, 5, repRand.Split())}
 		augment[AlgWithinALEPool] = suggestPool(within)
 		augment[AlgCrossALEPool] = suggestPool(cross)

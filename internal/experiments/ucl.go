@@ -148,7 +148,7 @@ func RunUCLCtx(ctx context.Context, cfg UCLConfig, opts RunOptions, progress io.
 		}
 		augment[AlgUniform] = uniformPick()
 		augment[AlgConfidence] = pool.Subset(active.LeastConfidence(base, pool.X, cfg.FeedbackN))
-		augment[AlgQBC] = pool.Subset(active.QBC(within, pool.X, cfg.FeedbackN, active.QBCVoteEntropy))
+		augment[AlgQBC] = pool.Subset(active.QBC(within, pool.X, cfg.FeedbackN))
 
 		// Independent retrain trials, run concurrently and committed in
 		// algorithm order (see RunTable1).

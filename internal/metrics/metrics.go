@@ -1,32 +1,24 @@
 // Package metrics implements the classification quality measures the
 // evaluation uses. The paper reports balanced accuracy everywhere "to avoid
-// biases due to label imbalance" (§4); the remaining metrics support the
-// wider test suite and the AutoML engine's internal model selection.
+// biases due to label imbalance" (§4), and the AutoML engine selects
+// models by it too.
 //
 // # Zero-support convention
 //
 // A class with no true samples ("zero support") never poisons an otherwise
-// well-defined score with NaN:
-//
-//   - BalancedAccuracy and MacroF1 average only over classes that appear
-//     in yTrue; absent classes are excluded from the mean, so a holdout
-//     that happens to contain a single class still scores that class's
-//     recall rather than NaN.
-//   - Per-class recall, precision and F1 report 0 for undefined ratios
-//     (no true / no predicted instances), matching sklearn's
-//     zero_division=0.
+// well-defined score with NaN: BalancedAccuracy averages only over classes
+// that appear in yTrue, so a holdout that happens to contain a single
+// class still scores that class's recall rather than NaN.
 //
 // NaN is reserved for inputs that carry no information at all: empty label
-// slices, mismatched lengths, out-of-range labels, or (for AUC) a missing
-// class. The AutoML engine relies on that boundary — a NaN score marks a
-// candidate as undefined and drops it, so a merely imbalanced holdout must
-// never produce one.
+// slices or out-of-range labels. The AutoML engine relies on that
+// boundary — a NaN score marks a candidate as undefined and drops it, so a
+// merely imbalanced holdout must never produce one.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ConfusionMatrix counts predictions: M[true][predicted].
@@ -97,132 +89,6 @@ func BalancedAccuracy(k int, yTrue, yPred []int) float64 {
 		return math.NaN()
 	}
 	return sum / float64(present)
-}
-
-// PrecisionRecallF1 returns per-class precision, recall and F1.
-// Undefined ratios (no predicted / no true instances) are reported as 0,
-// matching sklearn's zero_division=0 behaviour: a zero-support class has
-// recall 0, a never-predicted class has precision 0, and F1 is 0 whenever
-// precision+recall is — the slices never contain NaN.
-func PrecisionRecallF1(k int, yTrue, yPred []int) (precision, recall, f1 []float64, err error) {
-	cm, err := NewConfusion(k, yTrue, yPred)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	precision = make([]float64, k)
-	recall = make([]float64, k)
-	f1 = make([]float64, k)
-	for c := 0; c < k; c++ {
-		tp := cm.M[c][c]
-		predicted, actual := 0, 0
-		for i := 0; i < k; i++ {
-			predicted += cm.M[i][c]
-			actual += cm.M[c][i]
-		}
-		if predicted > 0 {
-			precision[c] = float64(tp) / float64(predicted)
-		}
-		if actual > 0 {
-			recall[c] = float64(tp) / float64(actual)
-		}
-		if precision[c]+recall[c] > 0 {
-			f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-		}
-	}
-	return precision, recall, f1, nil
-}
-
-// MacroF1 returns the unweighted mean F1 over classes present in yTrue.
-// Like BalancedAccuracy it excludes zero-support classes from the mean and
-// returns NaN only for empty or invalid input.
-func MacroF1(k int, yTrue, yPred []int) float64 {
-	_, _, f1, err := PrecisionRecallF1(k, yTrue, yPred)
-	if err != nil {
-		return math.NaN()
-	}
-	counts := make([]int, k)
-	for _, y := range yTrue {
-		counts[y]++
-	}
-	sum, present := 0.0, 0
-	for c := 0; c < k; c++ {
-		if counts[c] == 0 {
-			continue
-		}
-		present++
-		sum += f1[c]
-	}
-	if present == 0 {
-		return math.NaN()
-	}
-	return sum / float64(present)
-}
-
-// LogLoss returns the mean negative log-likelihood of the true labels
-// under predicted probability rows. Probabilities are clipped to
-// [eps, 1-eps] to keep the loss finite.
-func LogLoss(proba [][]float64, yTrue []int) float64 {
-	if len(proba) == 0 || len(proba) != len(yTrue) {
-		return math.NaN()
-	}
-	const eps = 1e-15
-	sum := 0.0
-	for i, row := range proba {
-		p := row[yTrue[i]]
-		if p < eps {
-			p = eps
-		}
-		if p > 1-eps {
-			p = 1 - eps
-		}
-		sum -= math.Log(p)
-	}
-	return sum / float64(len(proba))
-}
-
-// AUC returns the area under the ROC curve for a binary problem: scores
-// are the predicted probabilities of the positive class, yTrue the 0/1
-// labels. Ties are handled by midranks (the Mann-Whitney formulation).
-// It returns NaN if either class is absent.
-func AUC(scores []float64, yTrue []int) float64 {
-	if len(scores) != len(yTrue) || len(scores) == 0 {
-		return math.NaN()
-	}
-	type pair struct {
-		s float64
-		y int
-	}
-	ps := make([]pair, len(scores))
-	nPos, nNeg := 0, 0
-	for i := range scores {
-		ps[i] = pair{scores[i], yTrue[i]}
-		if yTrue[i] == 1 {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return math.NaN()
-	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].s < ps[b].s })
-	// Midranks over tied scores.
-	rankSumPos := 0.0
-	for i := 0; i < len(ps); {
-		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
-			j++
-		}
-		mid := float64(i+j+1) / 2
-		for k := i; k < j; k++ {
-			if ps[k].y == 1 {
-				rankSumPos += mid
-			}
-		}
-		i = j
-	}
-	u := rankSumPos - float64(nPos)*float64(nPos+1)/2
-	return u / (float64(nPos) * float64(nNeg))
 }
 
 // Argmax returns the index of the largest value in xs (first on ties).

@@ -62,21 +62,6 @@ func TestBalancedAccuracyPerfect(t *testing.T) {
 	}
 }
 
-func TestPrecisionRecallF1(t *testing.T) {
-	yTrue := []int{0, 0, 1, 1, 1}
-	yPred := []int{0, 1, 1, 1, 0}
-	p, r, f1, err := PrecisionRecallF1(2, yTrue, yPred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(p[1], 2.0/3.0) || !almost(r[1], 2.0/3.0) || !almost(f1[1], 2.0/3.0) {
-		t.Fatalf("class1 p=%v r=%v f1=%v", p[1], r[1], f1[1])
-	}
-	if !almost(p[0], 0.5) || !almost(r[0], 0.5) {
-		t.Fatalf("class0 p=%v r=%v", p[0], r[0])
-	}
-}
-
 // TestBalancedAccuracySingleClass pins the zero-support convention for
 // the degenerate holdout the AutoML engine can produce on tiny stratified
 // splits: every true label is the same class. The score must be that
@@ -110,36 +95,6 @@ func TestBalancedAccuracyZeroSupportClass(t *testing.T) {
 	}
 }
 
-// TestMacroF1ZeroSupportClass mirrors the balanced-accuracy convention
-// for the macro-F1 aggregate.
-func TestMacroF1ZeroSupportClass(t *testing.T) {
-	yTrue := []int{0, 0, 1, 1}
-	yPred := []int{0, 0, 1, 1}
-	if got := MacroF1(3, yTrue, yPred); math.IsNaN(got) || got != 1 {
-		t.Fatalf("MacroF1 with absent class = %v, want 1", got)
-	}
-	if got := MacroF1(3, []int{1, 1}, []int{1, 0}); math.IsNaN(got) {
-		t.Fatal("single-class MacroF1 must be defined, got NaN")
-	}
-}
-
-// TestRecallZeroSupport: per-class slices never contain NaN, even for a
-// class with no true samples and no predictions.
-func TestRecallZeroSupport(t *testing.T) {
-	p, r, f1, err := PrecisionRecallF1(3, []int{0, 1, 1}, []int{0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 3; c++ {
-		if math.IsNaN(p[c]) || math.IsNaN(r[c]) || math.IsNaN(f1[c]) {
-			t.Fatalf("class %d: p=%v r=%v f1=%v contain NaN", c, p[c], r[c], f1[c])
-		}
-	}
-	if r[2] != 0 || p[2] != 0 || f1[2] != 0 {
-		t.Fatalf("zero-support class 2: p=%v r=%v f1=%v, want all 0", p[2], r[2], f1[2])
-	}
-}
-
 // TestBalancedAccuracyNaNOnlyForEmptyOrInvalid pins the reserved NaN
 // cases: no information (empty input) or malformed labels.
 func TestBalancedAccuracyNaNOnlyForEmptyOrInvalid(t *testing.T) {
@@ -148,37 +103,6 @@ func TestBalancedAccuracyNaNOnlyForEmptyOrInvalid(t *testing.T) {
 	}
 	if got := BalancedAccuracy(2, []int{5}, []int{0}); !math.IsNaN(got) {
 		t.Fatalf("out-of-range label = %v, want NaN", got)
-	}
-}
-
-func TestPrecisionZeroDivision(t *testing.T) {
-	// Class 1 never predicted and never true: everything should be 0, not NaN.
-	p, r, f1, err := PrecisionRecallF1(2, []int{0, 0}, []int{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p[1] != 0 || r[1] != 0 || f1[1] != 0 {
-		t.Fatalf("absent class: p=%v r=%v f1=%v", p[1], r[1], f1[1])
-	}
-}
-
-func TestMacroF1(t *testing.T) {
-	yTrue := []int{0, 0, 1, 1}
-	yPred := []int{0, 0, 1, 1}
-	if got := MacroF1(2, yTrue, yPred); got != 1 {
-		t.Fatalf("MacroF1 perfect = %v", got)
-	}
-}
-
-func TestLogLoss(t *testing.T) {
-	proba := [][]float64{{0.9, 0.1}, {0.2, 0.8}}
-	want := -(math.Log(0.9) + math.Log(0.8)) / 2
-	if got := LogLoss(proba, []int{0, 1}); !almost(got, want) {
-		t.Fatalf("LogLoss = %v, want %v", got, want)
-	}
-	// Zero probability must not produce +Inf.
-	if got := LogLoss([][]float64{{0, 1}}, []int{0}); math.IsInf(got, 0) {
-		t.Fatal("LogLoss with zero probability should be clipped")
 	}
 }
 
@@ -222,43 +146,5 @@ func TestQuickAccuracyMatchesBalancedOnBalancedData(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAUCPerfectAndRandom(t *testing.T) {
-	// Perfectly separating scores.
-	scores := []float64{0.1, 0.2, 0.8, 0.9}
-	yTrue := []int{0, 0, 1, 1}
-	if got := AUC(scores, yTrue); got != 1 {
-		t.Fatalf("perfect AUC = %v", got)
-	}
-	// Perfectly wrong.
-	if got := AUC(scores, []int{1, 1, 0, 0}); got != 0 {
-		t.Fatalf("inverted AUC = %v", got)
-	}
-	// All ties: AUC 0.5.
-	if got := AUC([]float64{0.5, 0.5, 0.5, 0.5}, yTrue); got != 0.5 {
-		t.Fatalf("tied AUC = %v", got)
-	}
-}
-
-func TestAUCKnownValue(t *testing.T) {
-	// scores: pos {0.9, 0.4}, neg {0.5, 0.1}: pairs (0.9>0.5, 0.9>0.1,
-	// 0.4<0.5, 0.4>0.1) -> 3/4.
-	got := AUC([]float64{0.9, 0.4, 0.5, 0.1}, []int{1, 1, 0, 0})
-	if math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("AUC = %v, want 0.75", got)
-	}
-}
-
-func TestAUCDegenerate(t *testing.T) {
-	if !math.IsNaN(AUC([]float64{0.5}, []int{1})) {
-		t.Fatal("single-class AUC should be NaN")
-	}
-	if !math.IsNaN(AUC(nil, nil)) {
-		t.Fatal("empty AUC should be NaN")
-	}
-	if !math.IsNaN(AUC([]float64{1, 2}, []int{0})) {
-		t.Fatal("mismatched lengths should be NaN")
 	}
 }

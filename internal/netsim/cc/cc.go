@@ -26,9 +26,6 @@ type Ack struct {
 	QueueDelay float64
 	// Bytes is the number of payload bytes acknowledged.
 	Bytes int
-	// ECN reports that the packet was congestion-marked by an AQM and
-	// the receiver echoed the mark (RFC 3168 CE -> ECE).
-	ECN bool
 }
 
 // Protocol is a congestion controller driven by ACK and loss events.
@@ -91,14 +88,9 @@ func (r *Reno) Window() float64 { return r.cwnd }
 // PacingRate implements Protocol (ack-clocked).
 func (r *Reno) PacingRate() float64 { return 0 }
 
-// OnAck implements Protocol. An ECN echo is treated exactly like a loss
-// signal (RFC 3168), but the packet itself was delivered.
+// OnAck implements Protocol.
 func (r *Reno) OnAck(a Ack) {
 	r.rtt.update(a.RTT)
-	if a.ECN {
-		r.OnLoss(a.Now)
-		return
-	}
 	if r.cwnd < r.ssthresh {
 		r.cwnd++
 	} else {
@@ -149,14 +141,9 @@ func (c *Cubic) Window() float64 { return c.cwnd }
 // PacingRate implements Protocol (ack-clocked).
 func (c *Cubic) PacingRate() float64 { return 0 }
 
-// OnAck implements Protocol. ECN echoes trigger the loss response
-// (RFC 3168) without an actual packet loss.
+// OnAck implements Protocol.
 func (c *Cubic) OnAck(a Ack) {
 	c.rtt.update(a.RTT)
-	if a.ECN {
-		c.OnLoss(a.Now)
-		return
-	}
 	if c.cwnd < c.ssthresh {
 		c.cwnd++
 		return
@@ -401,19 +388,11 @@ func (s *Scream) Window() float64 { return s.cwnd }
 // RFC's self-clocked design).
 func (s *Scream) PacingRate() float64 { return 0 }
 
-// OnAck implements Protocol. SCReAM is ECN-capable (RFC 8298 §4.1.2): a
-// congestion mark causes a multiplicative decrease milder than the loss
-// response, at most once per RTT.
+// OnAck implements Protocol.
 func (s *Scream) OnAck(a Ack) {
 	s.rtt.update(a.RTT)
 	if a.RTT < s.baseRTT {
 		s.baseRTT = a.RTT
-	}
-	if a.ECN && a.Now >= s.lastCut+s.rtt.srtt {
-		s.lastCut = a.Now
-		s.fastStart = false
-		s.cwnd = math.Max(s.cwnd*0.8, minWindow)
-		return
 	}
 	qdelay := a.RTT - s.baseRTT
 	off := (s.QDelayTarget - qdelay) / s.QDelayTarget

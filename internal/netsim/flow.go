@@ -274,7 +274,7 @@ func (f *Flow) onDeliver(p Packet, queueDelay float64) {
 		now := f.sim.Now()
 		rtt := now - p.SentAt
 		f.srtt = 0.875*f.srtt + 0.125*rtt
-		f.proto.OnAck(cc.Ack{Now: now, RTT: rtt, QueueDelay: queueDelay, Bytes: p.Size, ECN: p.ECN})
+		f.proto.OnAck(cc.Ack{Now: now, RTT: rtt, QueueDelay: queueDelay, Bytes: p.Size})
 		if now >= f.warmup {
 			f.acked++
 			f.ackedBytes += int64(p.Size)

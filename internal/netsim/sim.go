@@ -95,9 +95,6 @@ type Packet struct {
 	Size   int // bytes
 	// SentAt is the time the sender released the packet.
 	SentAt float64
-	// ECN is set when an AQM marked the packet (congestion experienced);
-	// the receiver echoes it back to the sender in the ACK.
-	ECN bool
 }
 
 // LinkConfig describes the bottleneck.
@@ -110,10 +107,6 @@ type LinkConfig struct {
 	QueuePackets int
 	// LossRate is the i.i.d. probability a packet is dropped on entry.
 	LossRate float64
-	// AQM selects the queue discipline (default droptail).
-	AQM AQM
-	// RED parameterizes the RED discipline when AQM == AQMRED.
-	RED REDConfig
 }
 
 // Validate reports configuration errors.
@@ -129,11 +122,6 @@ func (c LinkConfig) Validate() error {
 	}
 	if c.LossRate < 0 || c.LossRate >= 1 {
 		return fmt.Errorf("netsim: loss rate %v outside [0,1)", c.LossRate)
-	}
-	if c.AQM == AQMRED {
-		if err := c.RED.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -153,14 +141,8 @@ type Link struct {
 	// or queue overflow). The bool reports whether it was random loss.
 	OnDrop func(p Packet, random bool)
 
-	queue    []queuedPacket
-	busy     bool
-	dropped  int64
-	randomL  int64
-	sent     int64
-	marked   int64
-	red      *redState
-	schedule []RateStep
+	queue []queuedPacket
+	busy  bool
 }
 
 type queuedPacket struct {
@@ -174,46 +156,7 @@ func NewLink(sim *Simulator, cfg LinkConfig, r *rng.Rand) (*Link, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l := &Link{sim: sim, cfg: cfg, rand: r}
-	if cfg.AQM == AQMRED {
-		l.red = &redState{cfg: cfg.RED.withDefaults()}
-	}
-	return l, nil
-}
-
-// RateStep changes the link rate at a point in time (a bandwidth trace in
-// the Pantheon/mahimahi style). Steps must be sorted by At.
-type RateStep struct {
-	At       float64 // seconds
-	RateMbps float64
-}
-
-// SetRateSchedule installs a time-varying bandwidth trace. The configured
-// RateMbps applies before the first step. Steps with non-positive rates
-// are rejected.
-func (l *Link) SetRateSchedule(steps []RateStep) error {
-	for i, st := range steps {
-		if st.RateMbps <= 0 {
-			return fmt.Errorf("netsim: rate step %d has non-positive rate %v", i, st.RateMbps)
-		}
-		if i > 0 && steps[i].At < steps[i-1].At {
-			return fmt.Errorf("netsim: rate steps not sorted at %d", i)
-		}
-	}
-	l.schedule = append([]RateStep(nil), steps...)
-	return nil
-}
-
-// currentRate returns the link rate in Mbps at time t.
-func (l *Link) currentRate(t float64) float64 {
-	rate := l.cfg.RateMbps
-	for _, st := range l.schedule {
-		if st.At > t {
-			break
-		}
-		rate = st.RateMbps
-	}
-	return rate
+	return &Link{sim: sim, cfg: cfg, rand: r}, nil
 }
 
 // Config returns the link configuration.
@@ -223,19 +166,9 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 // transmission).
 func (l *Link) QueueLen() int { return len(l.queue) }
 
-// Drops returns total packets dropped (random + overflow).
-func (l *Link) Drops() int64 { return l.dropped }
-
-// Delivered returns total packets delivered to the far end.
-func (l *Link) Delivered() int64 { return l.sent }
-
-// Marked returns total packets ECN-marked by the AQM.
-func (l *Link) Marked() int64 { return l.marked }
-
-// transmissionTime returns the serialization time of a packet starting
-// transmission now (rate traces change it over time).
+// transmissionTime returns the serialization time of a packet.
 func (l *Link) transmissionTime(size int) float64 {
-	return float64(size*8) / (l.currentRate(l.sim.Now()) * 1e6)
+	return float64(size*8) / (l.cfg.RateMbps * 1e6)
 }
 
 // Send enqueues a packet. It returns false if the packet was dropped
@@ -243,28 +176,12 @@ func (l *Link) transmissionTime(size int) float64 {
 // OnDrop.
 func (l *Link) Send(p Packet) bool {
 	if l.cfg.LossRate > 0 && l.rand.Bool(l.cfg.LossRate) {
-		l.dropped++
-		l.randomL++
 		if l.OnDrop != nil {
 			l.OnDrop(p, true)
 		}
 		return false
 	}
-	if l.red != nil {
-		switch l.red.onArrival(len(l.queue), l.rand.Float64) {
-		case redDrop:
-			l.dropped++
-			if l.OnDrop != nil {
-				l.OnDrop(p, false)
-			}
-			return false
-		case redMark:
-			p.ECN = true
-			l.marked++
-		}
-	}
 	if len(l.queue) >= l.cfg.QueuePackets {
-		l.dropped++
 		if l.OnDrop != nil {
 			l.OnDrop(p, false)
 		}
@@ -292,7 +209,6 @@ func (l *Link) transmitNext() {
 		// Serialization finished: the packet departs; propagation happens
 		// in parallel with the next packet's serialization.
 		l.sim.Schedule(l.cfg.DelayMs/1e3, func() {
-			l.sent++
 			if l.Deliver != nil {
 				l.Deliver(qp.p, queueDelay+tx)
 			}

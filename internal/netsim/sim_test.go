@@ -359,3 +359,34 @@ func BenchmarkEmulation(b *testing.B) {
 		}
 	}
 }
+
+func TestJainIndex(t *testing.T) {
+	if got := JainIndex([]float64{1, 1, 1, 1}); math.Abs(got-1) > 1e-12 {
+		t.Fatalf("equal allocation index %v", got)
+	}
+	if got := JainIndex([]float64{1, 0, 0, 0}); math.Abs(got-0.25) > 1e-12 {
+		t.Fatalf("hog allocation index %v", got)
+	}
+	if got := JainIndex(nil); got != 0 {
+		t.Fatalf("empty index %v", got)
+	}
+	if got := JainIndex([]float64{0, 0}); got != 0 {
+		t.Fatalf("all-zero index %v", got)
+	}
+}
+
+func TestMultiFlowFairnessReported(t *testing.T) {
+	res, err := Run(Config{
+		Link:     LinkConfig{RateMbps: 10, DelayMs: 10, QueuePackets: 100},
+		Flows:    4,
+		Protocol: func() cc.Protocol { return cc.NewReno() },
+		Duration: 3,
+		Seed:     5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FairnessIndex < 0.5 || res.FairnessIndex > 1 {
+		t.Fatalf("fairness index %v out of plausible range", res.FairnessIndex)
+	}
+}

@@ -1,8 +1,7 @@
 // Package priors implements the paper's §1 straw-man for domain-customized
 // AutoML: letting an operator encode *explicit* feature-independence
 // assumptions — "add zeros in the covariance matrix for maximum likelihood
-// estimators with Gaussian priors" — and letting a wrapper *infer* such
-// assumptions from the network topology.
+// estimators with Gaussian priors".
 //
 // The vehicle is a full-covariance Gaussian classifier (quadratic
 // discriminant analysis fitted by maximum likelihood). Without
@@ -29,47 +28,11 @@ type Constraint struct {
 	A, B int
 }
 
-// FromTopology infers independence constraints from a network topology:
-// featureNode[j] is the topology node feature j is measured at, and adj
-// lists node adjacency. Features measured at non-adjacent nodes are
-// declared independent — the paper's example of the "logical and physical
-// topology as an implicit indicator of such relationships".
-func FromTopology(adj map[int][]int, featureNode []int) []Constraint {
-	neighbour := func(a, b int) bool {
-		if a == b {
-			return true
-		}
-		for _, n := range adj[a] {
-			if n == b {
-				return true
-			}
-		}
-		for _, n := range adj[b] {
-			if n == a {
-				return true
-			}
-		}
-		return false
-	}
-	var out []Constraint
-	for i := 0; i < len(featureNode); i++ {
-		for j := i + 1; j < len(featureNode); j++ {
-			if !neighbour(featureNode[i], featureNode[j]) {
-				out = append(out, Constraint{A: i, B: j})
-			}
-		}
-	}
-	return out
-}
-
 // Gaussian is a maximum-likelihood Gaussian classifier (QDA) with optional
 // independence constraints on the per-class covariance.
 type Gaussian struct {
 	// Constraints lists feature pairs whose covariance is forced to 0.
 	Constraints []Constraint
-	// Shrinkage blends the covariance toward its diagonal for stability
-	// (0..1, default 0.1).
-	Shrinkage float64
 
 	classes  int
 	logPrior []float64
@@ -82,14 +45,18 @@ type Gaussian struct {
 	fallbck []float64
 }
 
+// shrinkage blends each class covariance toward its diagonal for
+// stability: off-diagonal entries are scaled by 1 - shrinkage.
+const shrinkage = 0.1
+
 // NewGaussian returns an unconstrained maximum-likelihood Gaussian
 // classifier.
-func NewGaussian() *Gaussian { return &Gaussian{Shrinkage: 0.1} }
+func NewGaussian() *Gaussian { return &Gaussian{} }
 
 // NewConstrainedGaussian returns a Gaussian classifier with the given
 // independence constraints applied.
 func NewConstrainedGaussian(cs []Constraint) *Gaussian {
-	return &Gaussian{Constraints: cs, Shrinkage: 0.1}
+	return &Gaussian{Constraints: cs}
 }
 
 // Name implements ml.Classifier.
@@ -142,10 +109,6 @@ func (g *Gaussian) Fit(d *data.Dataset, r *rng.Rand) error {
 		g.fallbck[c] = math.Exp(g.logPrior[c])
 	}
 
-	shrink := g.Shrinkage
-	if shrink <= 0 || shrink > 1 {
-		shrink = 0.1
-	}
 	g.invCov = make([][][]float64, k)
 	g.logDet = make([]float64, k)
 	for c := 0; c < k; c++ {
@@ -173,7 +136,7 @@ func (g *Gaussian) Fit(d *data.Dataset, r *rng.Rand) error {
 		for a := 0; a < nf; a++ {
 			for b := 0; b < nf; b++ {
 				if a != b {
-					cov[a][b] *= 1 - shrink
+					cov[a][b] *= 1 - shrinkage
 				}
 			}
 			if cov[a][a] <= 1e-9 {

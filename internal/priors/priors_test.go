@@ -77,26 +77,6 @@ func TestApplyConstraints(t *testing.T) {
 	}
 }
 
-func TestFromTopology(t *testing.T) {
-	// Nodes: 0-1 adjacent, 2 isolated. Features at nodes [0, 1, 2].
-	adj := map[int][]int{0: {1}}
-	cs := FromTopology(adj, []int{0, 1, 2})
-	// Pairs: (0,1) adjacent -> no constraint; (0,2) and (1,2) constrained.
-	if len(cs) != 2 {
-		t.Fatalf("constraints = %v", cs)
-	}
-	for _, c := range cs {
-		if c.B != 2 {
-			t.Fatalf("unexpected constraint %v", c)
-		}
-	}
-	// Two features at the same node are never constrained.
-	cs = FromTopology(adj, []int{0, 0})
-	if len(cs) != 0 {
-		t.Fatalf("same-node features constrained: %v", cs)
-	}
-}
-
 // correlatedBlobs builds a 2-class problem where features are correlated
 // within each class.
 func correlatedBlobs(n int, rho float64, r *rng.Rand) *data.Dataset {

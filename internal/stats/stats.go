@@ -223,9 +223,6 @@ func normSF(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
 }
 
-// NormSF exposes the standard normal survival function for other packages.
-func NormSF(z float64) float64 { return normSF(z) }
-
 // HolmBonferroni adjusts a family of p-values for multiple comparisons
 // using Holm's step-down procedure: sort ascending, multiply the i-th
 // smallest by (m-i), enforce monotonicity, clip at 1. The result is
@@ -256,17 +253,4 @@ func HolmBonferroni(pvals []float64) []float64 {
 		adjusted[idx] = v
 	}
 	return adjusted
-}
-
-// PairedSummary describes a set of paired accuracy measurements in the
-// format Table 1 reports: mean ± std plus the p-values against reference
-// algorithms.
-type PairedSummary struct {
-	Mean float64
-	Std  float64
-}
-
-// Summarize returns the mean and sample standard deviation of xs.
-func Summarize(xs []float64) PairedSummary {
-	return PairedSummary{Mean: Mean(xs), Std: StdDev(xs)}
 }

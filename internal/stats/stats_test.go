@@ -223,8 +223,8 @@ func TestNormSF(t *testing.T) {
 		{2.3263478740408408, 0.01},
 	}
 	for _, c := range cases {
-		if got := NormSF(c.z); !almost(got, c.want, 1e-9) {
-			t.Fatalf("NormSF(%v) = %v, want %v", c.z, got, c.want)
+		if got := normSF(c.z); !almost(got, c.want, 1e-9) {
+			t.Fatalf("normSF(%v) = %v, want %v", c.z, got, c.want)
 		}
 	}
 }
@@ -283,13 +283,6 @@ func TestQuickWilcoxonPInUnitInterval(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.Mean != 2 || !almost(s.Std, 1, 1e-12) {
-		t.Fatalf("Summarize = %+v", s)
 	}
 }
 
