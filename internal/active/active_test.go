@@ -249,3 +249,78 @@ func TestEntropy(t *testing.T) {
 		t.Fatalf("entropy empty = %v", e)
 	}
 }
+
+func TestSMOTEDefaultsToFiveNeighbours(t *testing.T) {
+	d := imbalanced(rng.New(7))
+	def := SMOTE(d, 50, 0, rng.New(8))
+	five := SMOTE(d, 50, 5, rng.New(8))
+	if def.Len() != five.Len() {
+		t.Fatalf("k=0 gave %d rows, k=5 gave %d", def.Len(), five.Len())
+	}
+	for i := range def.X {
+		if def.Y[i] != five.Y[i] || def.X[i][0] != five.X[i][0] || def.X[i][1] != five.X[i][1] {
+			t.Fatalf("row %d: k=0 gave %v/%d, k=5 gave %v/%d", i, def.X[i], def.Y[i], five.X[i], five.Y[i])
+		}
+	}
+}
+
+func TestNearestSameClass(t *testing.T) {
+	d := data.New(schema2())
+	for _, x := range []float64{0.5, 0.9, 0.45, 0.1, 0.6} {
+		d.Append([]float64{x, 1}, 0)
+	}
+	rows := []int{0, 1, 2, 3, 4}
+	got := nearestSameClass(d, rows, 0, 2)
+	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Fatalf("2 nearest to row 0 = %v, want [2 4]", got)
+	}
+	// k beyond the class size returns every other row, nearest first.
+	got = nearestSameClass(d, rows, 0, 10)
+	want := []int{2, 4, 1, 3}
+	if len(got) != len(want) {
+		t.Fatalf("nearest = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("nearest = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestInverseFrequencyWeights(t *testing.T) {
+	schema := &data.Schema{
+		Features: []data.Feature{{Name: "x", Min: 0, Max: 1}},
+		Classes:  []string{"a", "b", "c"},
+	}
+	d := data.New(schema)
+	for i := 0; i < 10; i++ {
+		d.Append([]float64{0}, 0)
+	}
+	for i := 0; i < 4; i++ {
+		d.Append([]float64{0}, 1)
+	}
+	// Class 2 is absent: it gets no weight, and the majority gets none.
+	w := inverseFrequency(d, rowsByClass(d))
+	if w[0] != 0 || w[1] != 6 || w[2] != 0 {
+		t.Fatalf("weights = %v, want [0 6 0]", w)
+	}
+	for i := 0; i < 6; i++ {
+		d.Append([]float64{0}, 1)
+	}
+	// Balanced present classes: uniform over them, absent still zero.
+	w = inverseFrequency(d, rowsByClass(d))
+	if w[0] != 1 || w[1] != 1 || w[2] != 0 {
+		t.Fatalf("balanced weights = %v, want [1 1 0]", w)
+	}
+}
+
+func TestTopNKeepsPoolOrderOnTies(t *testing.T) {
+	scored := []scoredIndex{{0, 0.2}, {1, 0.5}, {2, 0.2}, {3, 0.5}, {4, 0.1}}
+	got := topN(scored, 3)
+	want := []int{1, 3, 0}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("topN = %v, want %v", got, want)
+		}
+	}
+}

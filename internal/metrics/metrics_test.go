@@ -148,3 +148,12 @@ func TestQuickAccuracyMatchesBalancedOnBalancedData(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNewConfusionPanicsOnLengthMismatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched label slices did not panic")
+		}
+	}()
+	NewConfusion(2, []int{0, 1}, []int{0})
+}

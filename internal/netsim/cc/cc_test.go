@@ -252,3 +252,160 @@ func TestSrttFilter(t *testing.T) {
 		t.Fatalf("srtt = %v, want %v", f.srtt, want)
 	}
 }
+
+func TestAckClockedProtocolsDoNotPace(t *testing.T) {
+	// The emulator arms a pacer only for a positive PacingRate, so every
+	// window-based protocol must report 0 before and after acks arrive.
+	reg := Registry(1500)
+	for _, name := range []string{"reno", "cubic", "vegas", "scream"} {
+		t.Run(name, func(t *testing.T) {
+			p := reg[name]()
+			if got := p.PacingRate(); got != 0 {
+				t.Fatalf("fresh pacing rate %v, want 0", got)
+			}
+			ackSeries(p, 50, 0.05, 0.001, 0)
+			if got := p.PacingRate(); got != 0 {
+				t.Fatalf("pacing rate %v after acks, want 0", got)
+			}
+		})
+	}
+}
+
+func TestLossReactionCooldown(t *testing.T) {
+	// Every loss-reactive protocol cuts at most once per smoothed RTT
+	// (50 ms here) and reacts again once that RTT has passed.
+	reg := Registry(1500)
+	for _, name := range []string{"reno", "cubic", "vegas", "scream"} {
+		t.Run(name, func(t *testing.T) {
+			p := reg[name]()
+			ackSeries(p, 100, 0.05, 0.001, 0)
+			before := p.Window()
+			p.OnLoss(1.0)
+			cut := p.Window()
+			if cut >= before {
+				t.Fatalf("first loss: window %v -> %v, want a decrease", before, cut)
+			}
+			p.OnLoss(1.01)
+			if got := p.Window(); got != cut {
+				t.Fatalf("loss within one RTT changed window %v -> %v", cut, got)
+			}
+			p.OnLoss(1.06)
+			if got := p.Window(); got >= cut {
+				t.Fatalf("loss after one RTT: window %v -> %v, want a decrease", cut, got)
+			}
+		})
+	}
+}
+
+func TestCubicSlowStartAddsOnePerAck(t *testing.T) {
+	c := NewCubic()
+	ackSeries(c, 10, 0.05, 0.001, 0)
+	if got := c.Window(); got != minWindow+10 {
+		t.Fatalf("slow start window %v, want %v", got, minWindow+10)
+	}
+	if c.epochStart != -1 {
+		t.Fatalf("cubic epoch started during slow start at %v", c.epochStart)
+	}
+}
+
+func TestVegasLossCutsQuarterAndEndsSlowStart(t *testing.T) {
+	v := NewVegas()
+	ackSeries(v, 40, 0.05, 0.001, 0) // queue-free: slow start throughout
+	if !v.slowStart {
+		t.Fatal("vegas left slow start without queueing")
+	}
+	before := v.Window()
+	v.OnLoss(1.0)
+	want := before * 0.75
+	if got := v.Window(); got != want {
+		t.Fatalf("vegas loss: window %v, want %v", got, want)
+	}
+	if v.slowStart {
+		t.Fatal("vegas still in slow start after a loss")
+	}
+	// A queue-free ack now grows the window linearly, not by one packet.
+	v.OnAck(Ack{Now: 2, RTT: 0.05, Bytes: 1500})
+	if got := v.Window(); math.Abs(got-(want+1/want)) > 1e-12 {
+		t.Fatalf("vegas after loss: window %v, want %v", got, want+1/want)
+	}
+}
+
+func TestScreamBacksOffAboveTarget(t *testing.T) {
+	s := NewScream()
+	ackSeries(s, 50, 0.05, 0.001, 0)
+	w := s.Window()
+	// Queueing delay of twice the target: fast start ends and the window
+	// shrinks by the capped overshoot, 1 - GainDown*0.02.
+	s.OnAck(Ack{Now: 1, RTT: 0.05 + 2*s.QDelayTarget, Bytes: 1500})
+	if s.fastStart {
+		t.Fatal("scream stayed in fast start above target")
+	}
+	want := w * (1 - s.GainDown*0.02)
+	if got := s.Window(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("above target: window %v, want %v", got, want)
+	}
+	// Half the target: additive increase of GainUp * 0.5 / cwnd * 10.
+	w = s.Window()
+	s.OnAck(Ack{Now: 1.001, RTT: 0.05 + 0.5*s.QDelayTarget, Bytes: 1500})
+	want = w + s.GainUp*0.5/w*10
+	if got := s.Window(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("below target: window %v, want %v", got, want)
+	}
+}
+
+func TestBBRStartupDefaults(t *testing.T) {
+	b := NewBBR(1200)
+	// No bandwidth sample yet: 10 packets per 100 ms and a 10-packet cap.
+	if got := b.PacingRate(); got != 1200*100 {
+		t.Fatalf("initial pacing rate %v, want %v", got, 1200*100)
+	}
+	if got := b.Window(); got != 10 {
+		t.Fatalf("initial window %v, want 10", got)
+	}
+	// The first ack has no predecessor to measure a gap against.
+	b.OnAck(Ack{Now: 0.1, RTT: 0.04, Bytes: 1200})
+	if got := b.PacingRate(); got != 1200*100 {
+		t.Fatalf("pacing rate after one ack %v, want %v", got, 1200*100)
+	}
+}
+
+func TestBBRGainCycleAfterStartup(t *testing.T) {
+	b := NewBBR(1500)
+	ackSeries(b, 2000, 0.04, 0.001, 0)
+	if b.startup {
+		t.Fatal("BBR still in startup")
+	}
+	// Ten RTTs of acks walk the whole eight-phase gain cycle.
+	seen := map[float64]bool{}
+	for i := 0; i < 400; i++ {
+		b.OnAck(Ack{Now: 2 + float64(i)*0.001, RTT: 0.04, Bytes: 1500})
+		gain := b.PacingRate() / b.btlBw()
+		matched := false
+		for _, g := range bbrGains {
+			if math.Abs(gain-g) < 1e-12 {
+				seen[g] = true
+				matched = true
+			}
+		}
+		if !matched {
+			t.Fatalf("pacing gain %v is not in the cycle %v", gain, bbrGains)
+		}
+	}
+	if !seen[1.25] || !seen[0.75] || !seen[1] {
+		t.Fatalf("gain cycle visited %v, want 1.25, 0.75 and 1", seen)
+	}
+}
+
+func TestBBRBandwidthFilterExpires(t *testing.T) {
+	b := NewBBR(1500)
+	ackSeries(b, 500, 0.04, 0.001, 0) // 1.5 MB/s
+	if b.btlBw() < 1.4e6 {
+		t.Fatalf("btlBw = %v, want ~1.5e6 B/s", b.btlBw())
+	}
+	// The path halves its rate: after the filter's buckets rotate, the
+	// stale 1.5 MB/s sample must be gone.
+	ackSeries(b, 1000, 0.04, 0.002, 0.501)
+	if bw := b.btlBw(); bw < 0.7e6 || bw > 0.8e6 {
+		t.Fatalf("btlBw = %v after the rate halved, want ~0.75e6 B/s", bw)
+	}
+}

@@ -390,3 +390,104 @@ func TestMultiFlowFairnessReported(t *testing.T) {
 		t.Fatalf("fairness index %v out of plausible range", res.FairnessIndex)
 	}
 }
+
+func TestNewLinkRejectsInvalidConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  LinkConfig
+	}{
+		{"rate", LinkConfig{RateMbps: 0, DelayMs: 10, QueuePackets: 10}},
+		{"delay", LinkConfig{RateMbps: 10, DelayMs: -1, QueuePackets: 10}},
+		{"queue", LinkConfig{RateMbps: 10, DelayMs: 10, QueuePackets: 0}},
+		{"loss-negative", LinkConfig{RateMbps: 10, DelayMs: 10, QueuePackets: 10, LossRate: -0.1}},
+		{"loss-one", LinkConfig{RateMbps: 10, DelayMs: 10, QueuePackets: 10, LossRate: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			link, err := NewLink(NewSimulator(), c.cfg, rng.New(1))
+			if err == nil || link != nil {
+				t.Fatalf("NewLink(%+v) = %v, %v; want nil link and an error", c.cfg, link, err)
+			}
+		})
+	}
+}
+
+func TestBDPPacketsAtLeastOne(t *testing.T) {
+	cases := []struct {
+		cfg  LinkConfig
+		size int
+		want int
+	}{
+		{LinkConfig{RateMbps: 12, DelayMs: 50, QueuePackets: 1}, 1000, 150},
+		{LinkConfig{RateMbps: 0.1, DelayMs: 1, QueuePackets: 1}, 1500, 1},
+		{LinkConfig{RateMbps: 100, DelayMs: 0, QueuePackets: 1}, 1500, 1},
+	}
+	for _, c := range cases {
+		if got := c.cfg.BDPPackets(c.size); got != c.want {
+			t.Errorf("BDPPackets(%+v, %d) = %d, want %d", c.cfg, c.size, got, c.want)
+		}
+	}
+}
+
+func TestLinkConfigAndQueueLen(t *testing.T) {
+	sim := NewSimulator()
+	cfg := LinkConfig{RateMbps: 12, DelayMs: 5, QueuePackets: 10, LossRate: 0}
+	link, err := NewLink(sim, cfg, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if link.Config() != cfg {
+		t.Fatalf("Config() = %+v, want %+v", link.Config(), cfg)
+	}
+	for i := 0; i < 3; i++ {
+		link.Send(Packet{Seq: int64(i), Size: 1500})
+	}
+	// The head packet is in transmission, not waiting.
+	if got := link.QueueLen(); got != 2 {
+		t.Fatalf("queue length %d with 3 sent, want 2", got)
+	}
+	sim.Run(1)
+	if got := link.QueueLen(); got != 0 {
+		t.Fatalf("queue length %d after draining, want 0", got)
+	}
+}
+
+func TestEveryProtocolDeliversOverLossyLink(t *testing.T) {
+	// Every protocol must keep moving data over a link with 2% random
+	// loss, and the emulator must count the losses it saw.
+	link := LinkConfig{RateMbps: 10, DelayMs: 20, QueuePackets: 100, LossRate: 0.02}
+	reg := cc.Registry(1500)
+	for _, name := range cc.Names() {
+		t.Run(name, func(t *testing.T) {
+			res := runProto(t, reg[name], link, 1, 9)
+			st := res.PerFlow[0]
+			if st.Delivered == 0 {
+				t.Fatal("delivered nothing")
+			}
+			if st.Losses == 0 || res.LossRate <= 0 {
+				t.Fatalf("no losses counted on a 2%% loss link: %+v", st)
+			}
+			if res.TotalThroughputMbps > 10.5 {
+				t.Fatalf("throughput %.2f Mbps exceeds the 10 Mbps link", res.TotalThroughputMbps)
+			}
+		})
+	}
+}
+
+func TestConfigDefaults(t *testing.T) {
+	got := Config{}.withDefaults()
+	if got.PacketSize != 1500 || got.Duration != 1.5 || got.Warmup != 0.2*got.Duration || got.Flows != 1 {
+		t.Fatalf("defaults = %+v", got)
+	}
+	set := Config{PacketSize: 1000, Duration: 4, Warmup: 1, Flows: 3}.withDefaults()
+	if set.PacketSize != 1000 || set.Duration != 4 || set.Warmup != 1 || set.Flows != 3 {
+		t.Fatalf("explicit values overridden: %+v", set)
+	}
+	res, err := Run(Config{Link: LinkConfig{RateMbps: 5, DelayMs: 10, QueuePackets: 50}, Protocol: func() cc.Protocol { return cc.NewReno() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerFlow) != 1 {
+		t.Fatalf("zero Flows ran %d flows, want 1", len(res.PerFlow))
+	}
+}

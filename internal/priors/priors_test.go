@@ -234,3 +234,51 @@ func TestGaussianSingleClassSafe(t *testing.T) {
 }
 
 var _ ml.Classifier = (*Gaussian)(nil)
+
+func TestGaussianName(t *testing.T) {
+	if got := NewGaussian().Name(); got != "qda" {
+		t.Fatalf("unconstrained name %q", got)
+	}
+	g := NewConstrainedGaussian([]Constraint{{A: 0, B: 1}, {A: 1, B: 2}})
+	if got := g.Name(); got != "qda(+2 independence priors)" {
+		t.Fatalf("constrained name %q", got)
+	}
+}
+
+// TestGaussianIndefiniteConstraintFallsBackToDiagonal declares one false
+// independence among three nearly collinear features. Zeroing that single
+// covariance leaves an indefinite matrix, so Fit must fall back to the
+// diagonal: the model then predicts exactly like one that declares every
+// pair independent.
+func TestGaussianIndefiniteConstraintFallsBackToDiagonal(t *testing.T) {
+	schema := &data.Schema{
+		Features: []data.Feature{
+			{Name: "x0", Min: -10, Max: 10},
+			{Name: "x1", Min: -10, Max: 10},
+			{Name: "x2", Min: -10, Max: 10},
+		},
+		Classes: []string{"a", "b"},
+	}
+	r := rng.New(8)
+	d := data.New(schema)
+	for i := 0; i < 200; i++ {
+		c := i % 2
+		z := r.NormFloat64() + float64(2*c-1)
+		d.Append([]float64{z + 0.1*r.NormFloat64(), z + 0.1*r.NormFloat64(), z + 0.1*r.NormFloat64()}, c)
+	}
+	one := NewConstrainedGaussian([]Constraint{{A: 0, B: 1}})
+	all := NewConstrainedGaussian([]Constraint{{A: 0, B: 1}, {A: 0, B: 2}, {A: 1, B: 2}})
+	for _, g := range []*Gaussian{one, all} {
+		if err := g.Fit(d, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range d.X[:20] {
+		p1, pAll := one.PredictProba(x), all.PredictProba(x)
+		for c := range p1 {
+			if p1[c] != pAll[c] {
+				t.Fatalf("x=%v: indefinite constraint gave %v, diagonal model %v", x, p1, pAll)
+			}
+		}
+	}
+}

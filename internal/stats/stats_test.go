@@ -337,3 +337,49 @@ func TestHolmBonferroniPreservesSignificanceOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestStdDev(t *testing.T) {
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	if got := StdDev(xs); !almost(got, math.Sqrt(32.0/7.0), 1e-12) {
+		t.Fatalf("StdDev = %v, want %v", got, math.Sqrt(32.0/7.0))
+	}
+	if got := StdDev([]float64{3, 3, 3}); got != 0 {
+		t.Fatalf("StdDev of constants = %v, want 0", got)
+	}
+	if !math.IsNaN(StdDev([]float64{1})) {
+		t.Fatal("StdDev of singleton should be NaN")
+	}
+}
+
+func TestWilcoxonDropsZeroAndNaNDifferences(t *testing.T) {
+	// Pairs 2 and 4 carry no signed difference; the test must equal the
+	// one run on the other three pairs alone.
+	x := []float64{0, 1, 2, math.NaN(), 4}
+	y := []float64{1, 1, 5, 3, 2}
+	got, err := WilcoxonGreater(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := WilcoxonGreater([]float64{0, 2, 4}, []float64{1, 5, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("with zero/NaN pairs %+v, without %+v", got, want)
+	}
+	if got.N != 3 {
+		t.Fatalf("N = %d, want 3", got.N)
+	}
+}
+
+func TestExactWilcoxonKnownTail(t *testing.T) {
+	// n = 3: the 8 sign assignments give W+ sums 0,1,2,3,3,4,5,6.
+	cases := []struct{ w, want float64 }{
+		{0, 1}, {3, 5.0 / 8}, {3.5, 3.0 / 8}, {4, 3.0 / 8}, {6, 1.0 / 8},
+	}
+	for _, c := range cases {
+		if got := exactWilcoxonSF(3, c.w); !almost(got, c.want, 1e-15) {
+			t.Errorf("exactWilcoxonSF(3, %v) = %v, want %v", c.w, got, c.want)
+		}
+	}
+}
